@@ -263,7 +263,8 @@ def _cmd_viz(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _effective_config(args)
-    variants = ALL_VARIANTS if args.variant is None else [Variant(cfg["variant"])]
+    chosen = args.variant or (args.config and "variant" in _read_config_file(args.config))
+    variants = [Variant(cfg["variant"])] if chosen else ALL_VARIANTS
     worst = 0.0
     for variant in variants:
         ex, table, params, vcfg = gradcheck.tiny_setup(variant, seed=cfg["seed"])

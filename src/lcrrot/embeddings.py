@@ -16,13 +16,13 @@ from typing import IO
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 
 class EmbeddingTable:
     def __init__(self, dim: int = 300, seed: int = 1):
         if dim < 1:
-            raise ValueError(f"embedding dimension must be positive, got {dim}")
+            raise ConfigError(f"embedding dimension must be positive, got {dim}")
         self.dim = dim
         self.vocab: dict[str, int] = {}
         self.rows: list[np.ndarray] = []

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor as T
 from .corpus import LABELS, Example
 from .embeddings import EmbeddingTable
 from .errors import DomainError
@@ -42,7 +43,8 @@ class EvalResult:
 def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
             cfg: VariantConfig) -> str:
     """Argmax label; ties break toward the lowest class index."""
-    res = forward(ex, table, params, cfg, mode="eval")
+    with T.no_grad():
+        res = forward(ex, table, params, cfg, mode="eval")
     return LABELS[int(np.argmax(res.probs.data))]
 
 
@@ -180,7 +182,8 @@ class AttentionExport:
 
 def attention_export(ex: Example, table: EmbeddingTable, params: ModelParams,
                      cfg: VariantConfig) -> AttentionExport:
-    res = forward(ex, table, params, cfg, mode="eval")
+    with T.no_grad():
+        res = forward(ex, table, params, cfg, mode="eval")
     rec = res.record
 
     def weights(alpha: Optional[np.ndarray]) -> list[float]:

@@ -76,19 +76,10 @@ def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
 
 @dataclass
 class LstmParams:
-    """Per-gate weights of one LSTM direction (input, forget, output, candidate)."""
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_g: Tensor
-    u_i: Tensor
-    u_f: Tensor
-    u_o: Tensor
-    u_g: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_g: Tensor
+    """One LSTM direction; gate rows stacked as input, forget, output, candidate."""
+    w: Tensor  # [4 d_h, d]
+    u: Tensor  # [4 d_h, d_h]
+    b: Tensor  # [4 d_h]
 
 
 @dataclass
@@ -128,18 +119,11 @@ class ModelParams:
 
 
 def _init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
-    def w():
-        return Tensor(rng.uniform(-0.1, 0.1, (d_h, d_in)), requires_grad=True)
-
-    def u():
-        return Tensor(rng.uniform(-0.1, 0.1, (d_h, d_h)), requires_grad=True)
-
-    def b():
-        return Tensor(np.zeros(d_h), requires_grad=True)
-
-    return LstmParams(w_i=w(), w_f=w(), w_o=w(), w_g=w(),
-                      u_i=u(), u_f=u(), u_o=u(), u_g=u(),
-                      b_i=b(), b_f=b(), b_o=b(), b_g=b())
+    # one draw per matrix yields the same numbers as one draw per gate, in gate order
+    return LstmParams(
+        w=Tensor(rng.uniform(-0.1, 0.1, (4 * d_h, d_in)), requires_grad=True),
+        u=Tensor(rng.uniform(-0.1, 0.1, (4 * d_h, d_h)), requires_grad=True),
+        b=Tensor(np.zeros(4 * d_h), requires_grad=True))
 
 
 def _init_bilstm(d_in, d_h, rng) -> BiLstmParams:
@@ -184,28 +168,6 @@ def init_params(dims: Dimensions, cfg: VariantConfig,
                        clf_w=clf_w, clf_b=clf_b)
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              p: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update: sigmoid i/f/o gates, tanh candidate, no peepholes."""
-    i = T.sigmoid(T.add(T.add(T.matmul(p.w_i, x), T.matmul(p.u_i, h_prev)), p.b_i))
-    f = T.sigmoid(T.add(T.add(T.matmul(p.w_f, x), T.matmul(p.u_f, h_prev)), p.b_f))
-    o = T.sigmoid(T.add(T.add(T.matmul(p.w_o, x), T.matmul(p.u_o, h_prev)), p.b_o))
-    g = T.tanh(T.add(T.add(T.matmul(p.w_g, x), T.matmul(p.u_g, h_prev)), p.b_g))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h = T.mul(o, T.tanh(c))
-    return h, c
-
-
-def _run_direction(xs: list[Tensor], p: LstmParams, d_h: int) -> list[Tensor]:
-    h = Tensor(np.zeros(d_h))
-    c = Tensor(np.zeros(d_h))
-    out = []
-    for x in xs:
-        h, c = lstm_step(x, h, c, p)
-        out.append(h)
-    return out
-
-
 def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
                   d_h: int) -> Optional[Tensor]:
     """Encode an [n, d] embedding block into [n, 2*d_h] hidden states.
@@ -213,13 +175,11 @@ def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
     Position i concatenates the forward state after tokens 1..i with the
     backward state after tokens n..i. Returns None for n = 0.
     """
-    n = embedded.shape[0]
-    if n == 0:
+    if embedded.shape[0] == 0:
         return None
-    xs = [Tensor(embedded[i]) for i in range(n)]
-    fwd = _run_direction(xs, p.fwd, d_h)
-    bwd = _run_direction(list(reversed(xs)), p.bwd, d_h)[::-1]
-    return T.stack([T.concat([f, b]) for f, b in zip(fwd, bwd)])
+    x = Tensor(embedded)
+    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b),
+                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, reverse=True)])
 
 
 def pool_target(hidden: Tensor) -> Tensor:

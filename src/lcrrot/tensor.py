@@ -163,10 +163,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product; scalar operands broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -200,12 +196,15 @@ def tanh(a) -> Tensor:
     return _make(y, (a,), backward)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # split by sign to avoid exp overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    # split by sign to avoid exp overflow
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _logistic(a.data)
 
     def backward(g):
         a._accumulate(g * y * (1.0 - y))
@@ -248,16 +247,6 @@ def softmax(a) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def tsum(a) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    a = _as_tensor(a)
-
-    def backward(g):
-        a._accumulate(np.full(a.data.shape, g))
-
-    return _make(a.data.sum(), (a,), backward)
-
-
 def tmean(a) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
@@ -293,19 +282,19 @@ def index(a, i: int) -> Tensor:
 
 
 def concat(parts) -> Tensor:
-    """Concatenate 1-d tensors, preserving order."""
+    """Concatenate tensors along their last axis, preserving order."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise DomainError("concat of no operands")
-    sizes = [p.data.shape[0] for p in parts]
+    sizes = [p.data.shape[-1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accumulate(g[lo:hi])
+                p._accumulate(g[..., lo:hi])
 
-    return _make(np.concatenate([p.data for p in parts]), tuple(parts), backward)
+    return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), backward)
 
 
 def stack(parts) -> Tensor:
@@ -333,3 +322,54 @@ def mean_rows(a) -> Tensor:
         a._accumulate(np.tile(g / n, (n, 1)))
 
     return _make(a.data.mean(axis=0), (a,), backward)
+
+
+def lstm_sequence(x, w, u, b, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of x [n, d], from a zero state, as one node.
+
+    w [4d_h, d], u [4d_h, d_h] and b [4d_h] stack the gates as input, forget,
+    output, candidate. Returns h [n, d_h]; with ``reverse`` the steps run from
+    the last row, and row i is still the state after reading row i.
+    """
+    x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
+    d_h = u.shape[-1]
+    if x.data.ndim != 2 or w.shape != (4 * d_h, x.shape[1]) or u.shape != (4 * d_h, d_h) \
+            or b.shape != (4 * d_h,):
+        raise ShapeError(f"lstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
+    n = x.shape[0]
+    xs = x.data[::-1] if reverse else x.data
+    pre = xs @ w.data.T + b.data  # the input projection of every step in one GEMM
+    gates = np.empty((n, 4 * d_h))  # i, f, o after the sigmoid, g after tanh
+    cells, hs = np.zeros((n + 1, d_h)), np.zeros((n + 1, d_h))  # row t + 1: after step t
+    for t in range(n):
+        z = pre[t] + u.data @ hs[t]
+        gates[t] = np.concatenate([_logistic(z[:3 * d_h]), np.tanh(z[3 * d_h:])])
+        i, f, o, g = gates[t].reshape(4, d_h)
+        cells[t + 1] = f * cells[t] + i * g
+        hs[t + 1] = o * np.tanh(cells[t + 1])
+    tanh_c = np.tanh(cells[1:])
+
+    def backward(grad):
+        # backpropagation through time, then the weight gradients as GEMMs
+        dh_out = grad[::-1] if reverse else grad
+        dpre = gates * (1.0 - gates)
+        dpre[:, 3 * d_h:] = 1.0 - gates[:, 3 * d_h:] ** 2
+        dz = np.empty((n, 4 * d_h))
+        dh, dc = np.zeros(d_h), np.zeros(d_h)
+        for t in range(n - 1, -1, -1):
+            i, f, o, g = gates[t].reshape(4, d_h)
+            dh = dh + dh_out[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+            dz[t] = np.concatenate([dc * g, dc * cells[t], dh * tanh_c[t], dc * i]) * dpre[t]
+            dc, dh = dc * f, dz[t] @ u.data
+        if w.requires_grad:
+            w._accumulate(dz.T @ xs)
+        if u.requires_grad:
+            u._accumulate(dz.T @ hs[:-1])
+        if b.requires_grad:
+            b._accumulate(dz.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((dz @ w.data)[::-1] if reverse else dz @ w.data)
+
+    h = hs[1:]
+    return _make(h[::-1] if reverse else h, (x, w, u, b), backward)

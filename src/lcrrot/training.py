@@ -6,11 +6,15 @@ penalty covers biases by default, with a flag for the conventional
 weights-only variant). Batch loss is the mean cross entropy over the
 batch plus the penalty added once.
 
+Each LSTM direction is one ``tensor.lstm_sequence`` node over stacked gate
+matrices, with BPTT written out in numpy. Accuracy passes use
+``evalreport.predict``, which records no graph.
+
 Checkpoint format: a JSON document with fields ``format_version``,
 ``variant``, ``hyperparams``, ``dims`` and ``params`` (a name -> {shape,
-values} map, values as row-major float lists). Python serializes floats
-with shortest round-trip precision (up to 17 significant digits), so the
-round trip is bit-exact.
+values} map, values as row-major float lists, names like ``left.fwd.w``).
+Python serializes floats with shortest round-trip precision (up to 17
+significant digits), so the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 from . import tensor as T
 from .corpus import Example
 from .embeddings import EmbeddingTable
-from .errors import CheckpointError, DomainError, ShapeError
+from .errors import CheckpointError, ConfigError, DomainError, ShapeError
+from .evalreport import predict
 from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
                     init_params)
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LOG_EPS = 1e-12  # floor inside log() so a saturated softmax cannot yield -inf
 
 
@@ -47,13 +52,13 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ConfigError("learning rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
+            raise ConfigError("dropout rate must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+            raise ConfigError("batch size must be at least 1")
 
 
 class OptimizerState:
@@ -133,27 +138,20 @@ class EpochMetrics:
 
 
 def evaluate_accuracy(examples, table, params, cfg) -> float:
-    correct = 0
-    for ex in examples:
-        res = forward(ex, table, params, cfg, mode="eval")
-        if int(np.argmax(res.probs.data)) == ex.label_index:
-            correct += 1
-    return correct / len(examples)
+    return sum(predict(ex, table, params, cfg) == ex.label for ex in examples) / len(examples)
 
 
 def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
           hp: Hyperparams, dims: Dimensions,
           dev_examples: Optional[list[Example]] = None,
           log: Optional[Callable[[str], None]] = None,
-          stop_at_train_acc: Optional[float] = None,
           ) -> tuple[ModelParams, list[EpochMetrics]]:
     """Run the full training loop; deterministic given inputs and seed.
 
     Examples are reshuffled every epoch with the seeded generator and
     processed in mini-batches (the last batch may be smaller). When a dev
     set is given, the best-dev-accuracy epoch's parameters are returned;
-    otherwise the final parameters. ``stop_at_train_acc`` ends training
-    early once the epoch's training accuracy reaches the threshold.
+    otherwise the final parameters.
     """
     if not examples:
         raise DomainError("training on an empty corpus")
@@ -204,8 +202,6 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
         metrics.append(m)
         if log is not None:
             log(m.as_line())
-        if stop_at_train_acc is not None and m.train_acc >= stop_at_train_acc:
-            break
 
     if best_params is not None:
         params = best_params

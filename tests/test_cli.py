@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from lcrrot import training
 from lcrrot.cli import run
+from lcrrot.errors import CheckpointError
 
 CORPUS = """the $T$ was good today
 battery
@@ -82,6 +84,53 @@ def test_ttest_command(tmp_path, capsys):
 def test_gradcheck_single_variant(capsys):
     assert run(["gradcheck", "--variant", "no_attention"]) == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_gradcheck_variant_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = no_attention\n")
+    assert run(["gradcheck", "--config", str(cfg)]) == 0
+    results = [l for l in capsys.readouterr().out.splitlines()
+               if "max relative error" in l and not l.startswith("OK")]
+    assert len(results) == 1 and results[0].startswith("no_attention")
+
+
+@pytest.mark.parametrize("flag", ["--batch-size", "--dim"])
+def test_zero_size_is_data_error(corpus_file, tmp_path, capsys, flag):
+    args = base_train_args(corpus_file, tmp_path)
+    args[args.index(flag) + 1] = "0"
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    ckpt = tmp_path / "model.ckpt"
+    doc = json.loads(ckpt.read_text())
+    # the layout before stacked gates: one entry per gate, e.g. left.fwd.w_i
+    per_gate = {}
+    for name, entry in doc["params"].items():
+        prefix, kind = name.rsplit(".", 1)
+        if prefix.endswith((".fwd", ".bwd")):
+            rows = entry["shape"][0] // 4
+            cols = entry["shape"][1:]
+            size = rows * (cols[0] if cols else 1)
+            for k, gate in enumerate("ifog"):
+                per_gate[f"{prefix}.{kind}_{gate}"] = {
+                    "shape": [rows, *cols],
+                    "values": entry["values"][k * size:(k + 1) * size]}
+        else:
+            per_gate[name] = entry
+    doc["format_version"] = 1
+    doc["params"] = per_gate
+    old = tmp_path / "old.ckpt"
+    old.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
+        training.load_checkpoint(old)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

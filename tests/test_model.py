@@ -10,7 +10,7 @@ from lcrrot.embeddings import EmbeddingTable
 from lcrrot.errors import ConfigError, DomainError
 from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           attend, encode_bilstm, forward, init_params,
-                          lstm_step, pool_target, sentence_vector_dim)
+                          pool_target, sentence_vector_dim)
 from lcrrot.tensor import Tensor
 from lcrrot.training import loss
 
@@ -19,69 +19,67 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def stacked_lstm(d, d_h, draw):
+    return M.LstmParams(w=Tensor(draw((4 * d_h, d))), u=Tensor(draw((4 * d_h, d_h))),
+                        b=Tensor(draw(4 * d_h)))
+
+
 def zero_lstm(d, d_h):
-    zeros = lambda shape: Tensor(np.zeros(shape))
-    return M.LstmParams(
-        w_i=zeros((d_h, d)), w_f=zeros((d_h, d)), w_o=zeros((d_h, d)),
-        w_g=zeros((d_h, d)), u_i=zeros((d_h, d_h)), u_f=zeros((d_h, d_h)),
-        u_o=zeros((d_h, d_h)), u_g=zeros((d_h, d_h)),
-        b_i=zeros(d_h), b_f=zeros(d_h), b_o=zeros(d_h), b_g=zeros(d_h))
+    return stacked_lstm(d, d_h, np.zeros)
 
 
 def random_lstm(d, d_h, g):
-    t = lambda shape: Tensor(g.uniform(-0.5, 0.5, shape))
-    return M.LstmParams(
-        w_i=t((d_h, d)), w_f=t((d_h, d)), w_o=t((d_h, d)), w_g=t((d_h, d)),
-        u_i=t((d_h, d_h)), u_f=t((d_h, d_h)), u_o=t((d_h, d_h)), u_g=t((d_h, d_h)),
-        b_i=t(d_h), b_f=t(d_h), b_o=t(d_h), b_g=t(d_h))
+    return stacked_lstm(d, d_h, lambda shape: g.uniform(-0.5, 0.5, shape))
 
 
 def lstm_step_oracle(x, h, c, p):
-    """Scalar-arithmetic reference for one LSTM cell update."""
+    """Scalar-arithmetic reference for one LSTM cell update.
+
+    Gate k (input, forget, output, candidate) of unit j is row k*d_h + j
+    of the stacked w, u and b.
+    """
     d_h = len(h)
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
+
+    def pre(k, j):
+        r = k * d_h + j
+        return sum(p.w.data[r, m] * x[m] for m in range(len(x))) + \
+            sum(p.u.data[r, m] * h[m] for m in range(d_h)) + p.b.data[r]
+
     h_new, c_new = np.zeros(d_h), np.zeros(d_h)
     for j in range(d_h):
-        zi = sum(p.w_i.data[j, k] * x[k] for k in range(len(x))) + \
-            sum(p.u_i.data[j, k] * h[k] for k in range(d_h)) + p.b_i.data[j]
-        zf = sum(p.w_f.data[j, k] * x[k] for k in range(len(x))) + \
-            sum(p.u_f.data[j, k] * h[k] for k in range(d_h)) + p.b_f.data[j]
-        zo = sum(p.w_o.data[j, k] * x[k] for k in range(len(x))) + \
-            sum(p.u_o.data[j, k] * h[k] for k in range(d_h)) + p.b_o.data[j]
-        zg = sum(p.w_g.data[j, k] * x[k] for k in range(len(x))) + \
-            sum(p.u_g.data[j, k] * h[k] for k in range(d_h)) + p.b_g.data[j]
+        zi, zf, zo, zg = (pre(k, j) for k in range(4))
         c_new[j] = sig(zf) * c[j] + sig(zi) * math.tanh(zg)
         h_new[j] = sig(zo) * math.tanh(c_new[j])
     return h_new, c_new
 
 
+def run_lstm(xs, p):
+    return T.lstm_sequence(Tensor(xs), p.w, p.u, p.b).data
+
+
 class TestLstmStep:
     def test_all_zero_parameters(self):
-        p = zero_lstm(3, 2)
-        h, c = lstm_step(Tensor(rng().uniform(-1, 1, 3)),
-                         Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
-        np.testing.assert_array_equal(h.data, np.zeros(2))
-        np.testing.assert_array_equal(c.data, np.zeros(2))
+        # o = 1/2 everywhere, so h = 0 means c = 0 too
+        h = run_lstm(rng().uniform(-1, 1, (3, 3)), zero_lstm(3, 2))
+        np.testing.assert_array_equal(h, np.zeros((3, 2)))
 
     def test_output_strictly_inside_unit_interval(self):
         g = rng(1)
-        p = random_lstm(3, 4, g)
-        h = Tensor(np.zeros(4))
-        c = Tensor(np.zeros(4))
-        for _ in range(5):
-            h, c = lstm_step(Tensor(g.uniform(-2, 2, 3)), h, c, p)
-            assert np.all(np.abs(h.data) < 1.0)
+        h = run_lstm(g.uniform(-2, 2, (5, 3)), random_lstm(3, 4, g))
+        assert np.all(np.abs(h) < 1.0)
 
     def test_matches_scalar_arithmetic_oracle(self):
+        # steps after the first start from the nonzero state the oracle carries
         g = rng(2)
         p = random_lstm(2, 2, g)
-        x = g.uniform(-1, 1, 2)
-        h0 = g.uniform(-0.5, 0.5, 2)
-        c0 = g.uniform(-0.5, 0.5, 2)
-        h, c = lstm_step(Tensor(x), Tensor(h0), Tensor(c0), p)
-        eh, ec = lstm_step_oracle(x, h0, c0, p)
-        np.testing.assert_allclose(h.data, eh, atol=1e-12)
-        np.testing.assert_allclose(c.data, ec, atol=1e-12)
+        xs = g.uniform(-1, 1, (3, 2))
+        h, c = np.zeros(2), np.zeros(2)
+        expected = []
+        for x in xs:
+            h, c = lstm_step_oracle(x, h, c, p)
+            expected.append(h)
+        np.testing.assert_allclose(run_lstm(xs, p), expected, atol=1e-12)
 
 
 class TestEncodeBilstm:
@@ -90,9 +88,9 @@ class TestEncodeBilstm:
         bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
         x = g.uniform(-1, 1, (1, 3))
         out = encode_bilstm(x, bp, 2)
-        fh, _ = lstm_step(Tensor(x[0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), bp.fwd)
-        bh, _ = lstm_step(Tensor(x[0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), bp.bwd)
-        np.testing.assert_array_equal(out.data[0], np.concatenate([fh.data, bh.data]))
+        fh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.fwd)
+        bh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.bwd)
+        np.testing.assert_allclose(out.data[0], np.concatenate([fh, bh]), atol=1e-12)
 
     def test_empty_sequence(self):
         g = rng(3)
@@ -129,6 +127,23 @@ class TestEncodeBilstm:
         for i in range(3):
             np.testing.assert_allclose(out[i], np.concatenate([fwd[i], bwd[i]]),
                                        atol=1e-12)
+
+
+def test_init_params_stack_per_gate_draws():
+    """One draw per stacked matrix equals four per-gate draws, in gate order."""
+    d, d_h = 4, 3
+    params = init_params(Dimensions(d=d, d_h=d_h), VariantConfig(), rng(12))
+    g = rng(12)
+    for enc in (params.left, params.right, params.center):
+        for p in (enc.fwd, enc.bwd):
+            w = np.vstack([g.uniform(-0.1, 0.1, (d_h, d)) for _ in range(4)])
+            u = np.vstack([g.uniform(-0.1, 0.1, (d_h, d_h)) for _ in range(4)])
+            assert p.w.data.tobytes() == w.tobytes()
+            assert p.u.data.tobytes() == u.tobytes()
+            np.testing.assert_array_equal(p.b.data, np.zeros(4 * d_h))
+    h = 2 * d_h
+    assert params.attention["w_cl"].data.tobytes() == \
+        g.uniform(-0.1, 0.1, (h, h)).tobytes()
 
 
 class TestPoolTarget:
@@ -307,8 +322,13 @@ class TestForward:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_every_parameter_receives_gradient(self, variant):
         table, params, cfg = make_setup(variant, seed=10)
-        examples = [make_example(label=lbl)
-                    for lbl in ("negative", "neutral", "positive")]
+        # A different sentence for each label: the three labels of one sentence
+        # cancel the loss gradient to first order (the sum over y of p - e_y is
+        # 3p - 1, about 0 at initialisation), which left the attention biases'
+        # gradients at rounding level (about 1e-20), where they could sum to 0.
+        examples = [make_example(left_len=2 + k, target_len=1 + k,
+                                 right_len=3 - k, label=lbl)
+                    for k, lbl in enumerate(("negative", "neutral", "positive"))]
         total = None
         for ex in examples:
             res = forward(ex, table, params, cfg)

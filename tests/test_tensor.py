@@ -125,6 +125,9 @@ class TestReduce:
         out = T.concat([Tensor(p) for p in parts])
         assert out.data.shape == (10,)
         np.testing.assert_array_equal(out.data, np.concatenate(parts))
+        rows = [rng(s).uniform(-1, 1, (3, n)) for s, n in enumerate((2, 4))]
+        out = T.concat([Tensor(r) for r in rows])
+        np.testing.assert_array_equal(out.data, np.hstack(rows))
 
     def test_mean_matches_accumulate_and_divide(self):
         vecs = rng(5).uniform(-1, 1, (6, 4))
@@ -223,3 +226,79 @@ class TestGradientProperty:
             return T.scale(T.log(T.clip_min(T.index(T.softmax(x), 1), 1e-12)), -1.0)
 
         _fd_check(build, [x])
+
+
+def per_step_lstm(xs, w, u, b, reverse):
+    """Reference LSTM direction: a graph per timestep over per-gate leaves
+    cut from row slices of the stacked w, u and b (gate order i, f, o, g).
+
+    Returns the [n, d_h] output and the leaves (x rows, w, u and b gates).
+    """
+    d_h = u.shape[1]
+    leaf = lambda a: Tensor(a.copy(), requires_grad=True)
+    gates = lambda m: [leaf(m[k * d_h:(k + 1) * d_h]) for k in range(4)]
+    x_rows = [leaf(x) for x in xs]
+    ws, us, bs = gates(w), gates(u), gates(b)
+    h, c = Tensor(np.zeros(d_h)), Tensor(np.zeros(d_h))
+    out = [None] * len(xs)
+    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    for t in order:
+        z = [T.add(T.add(T.matmul(ws[k], x_rows[t]), T.matmul(us[k], h)), bs[k])
+             for k in range(4)]
+        i, f, o = (T.sigmoid(zk) for zk in z[:3])
+        g = T.tanh(z[3])
+        c = T.add(T.mul(f, c), T.mul(i, g))
+        h = T.mul(o, T.tanh(c))
+        out[t] = h
+    return T.stack(out), (x_rows, ws, us, bs)
+
+
+def lstm_case(seed, n, d=5, d_h=3):
+    g = rng(seed)
+    return (g.uniform(-1, 1, (n, d)), g.uniform(-0.5, 0.5, (4 * d_h, d)),
+            g.uniform(-0.5, 0.5, (4 * d_h, d_h)), g.uniform(-0.5, 0.5, 4 * d_h),
+            g.uniform(-1, 1, (n, d_h)))
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_matches_per_step_graph(self, n, reverse):
+        xs, w, u, b, weights = lstm_case(n, n)
+        ref, (x_rows, ws, us, bs) = per_step_lstm(xs, w, u, b, reverse)
+        T.tmean(T.mul(ref, Tensor(weights))).backward()
+
+        leaves = [Tensor(a, requires_grad=True) for a in (xs, w, u, b)]
+        out = T.lstm_sequence(*leaves, reverse=reverse)
+        T.tmean(T.mul(out, Tensor(weights))).backward()
+
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        for got, parts in zip(leaves, (x_rows, ws, us, bs)):
+            expected = np.stack([p.grad for p in parts]) if got is leaves[0] \
+                else np.concatenate([p.grad for p in parts])
+            np.testing.assert_allclose(got.grad, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_central_differences(self, reverse):
+        xs, w, u, b, weights = lstm_case(20, 4)
+        leaves = [Tensor(a, requires_grad=True) for a in (xs, w, u, b)]
+
+        def build():
+            out = T.lstm_sequence(*leaves, reverse=reverse)
+            return T.tmean(T.mul(T.tanh(out), Tensor(weights)))
+
+        _fd_check(build, leaves)
+
+    def test_constant_input_gets_no_gradient(self):
+        xs, w, u, b, _ = lstm_case(21, 3)
+        x = Tensor(xs)
+        wt = Tensor(w, requires_grad=True)
+        T.tmean(T.lstm_sequence(x, wt, Tensor(u), Tensor(b))).backward()
+        assert x.grad is None and wt.grad is not None
+
+    def test_shape_mismatch(self):
+        xs, w, u, b, _ = lstm_case(22, 3)
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(Tensor(xs), Tensor(w[:, :-1]), Tensor(u), Tensor(b))
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(Tensor(xs), Tensor(w), Tensor(u), Tensor(b[:-1]))

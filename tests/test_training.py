@@ -64,12 +64,20 @@ class TestLoss:
                                include_biases=False).data)
         # biases are zero-initialized, so values agree until training moves them
         assert with_b == pytest.approx(without_b)
+        bumped = 0
         for name, t in params.named():
-            if ".b_" in name:
+            # attention scalars (attention.b_cl, ...), stacked LSTM gate biases
+            # (left.fwd.b, ...) and the classifier bias
+            if ".b_" in name or name.endswith((".fwd.b", ".bwd.b", "clf.b")):
                 t.data = t.data + 1.0
+                bumped += 1
+        assert bumped == 6 + 4 + 1
         assert float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data) > \
             float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
                        include_biases=False).data)
+        # the weights-only penalty ignores every bias it just saw move
+        assert float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
+                          include_biases=False).data) == without_b
 
 
 class TestSgdMomentum:
@@ -221,6 +229,32 @@ class TestTrain:
         params, metrics = train(corpus, table, CFG, HP, DIMS,
                                 dev_examples=corpus[:3])
         assert all(m.dev_acc is not None for m in metrics)
+
+
+class TestNoGradEval:
+    def test_eval_paths_record_no_graph(self, monkeypatch):
+        from lcrrot import evalreport
+        params, cfg = tiny_params(seed=11)
+        table = EmbeddingTable(dim=4, seed=2)
+        examples = make_corpus(n=3)
+        seen = []
+
+        def recording_forward(*args, **kwargs):
+            res = forward(*args, **kwargs)
+            seen.append(res.probs)
+            return res
+
+        monkeypatch.setattr(evalreport, "forward", recording_forward)
+        evalreport.predict(examples[0], table, params, cfg)
+        evalreport.evaluate(examples, table, params, cfg)
+        evalreport.attention_export(examples[0], table, params, cfg)
+        training.evaluate_accuracy(examples, table, params, cfg)
+        assert len(seen) == 1 + 3 + 1 + 3
+        for probs in seen:
+            assert probs.requires_grad is False and probs._prev == ()
+
+        graph = forward(examples[0], table, params, cfg).probs
+        assert graph.requires_grad and graph._prev
 
 
 class TestCheckpoint:
