@@ -4,9 +4,11 @@ Subcommands: train, eval, ablate, stats, ttest, viz, gradcheck.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (gradient check above tolerance).
 
-A ``key = value`` config file may be passed with --config; explicit flags
-override config values, which override built-in defaults. The effective
-configuration is echoed at startup.
+train, ablate and gradcheck take the hyperparameter flags and a
+``key = value`` config file (--config); explicit flags override config
+values, which override built-in defaults. The effective configuration is
+echoed at startup. eval and viz read variant, dimensions and seed from the
+checkpoint.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--metrics", type=Path, help="per-epoch metrics log file")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a test corpus")
-    add_hyper_flags(p_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--test-corpus", type=Path, required=True)
     p_eval.add_argument("--train-corpus", type=Path,
@@ -96,7 +97,6 @@ def _build_parser() -> _Parser:
     p_tt.add_argument("file_b", type=Path)
 
     p_viz = sub.add_parser("viz", help="export attention weights for examples")
-    add_hyper_flags(p_viz)
     p_viz.add_argument("--checkpoint", type=Path, required=True)
     p_viz.add_argument("--corpus", type=Path, required=True)
     p_viz.add_argument("--embeddings", type=Path)
@@ -124,18 +124,22 @@ def _read_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        if key == "variant" and value not in {v.value for v in ALL_VARIANTS}:
+            raise ConfigError(f"{path}:{lineno}: unknown variant {value!r}")
+        kind = type(DEFAULTS[key])
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: {key} = {value!r} is not a {kind.__name__}") from None
     return values
 
 
 def _effective_config(args) -> dict:
     merged = dict(DEFAULTS)
-    if getattr(args, "config", None) is not None:
-        for key, raw in _read_config_file(args.config).items():
-            kind = type(DEFAULTS[key])
-            merged[key] = raw if kind is str else kind(raw)
+    if args.config is not None:
+        merged.update(_read_config_file(args.config))
     for key in DEFAULTS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     print("effective config: " + " ".join(f"{k}={merged[k]}" for k in sorted(merged)))
@@ -185,7 +189,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _effective_config(args)
     params, vcfg, hp = training.load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.dims.d, hp.seed)
     test = _load_examples(args.test_corpus)
@@ -237,7 +240,6 @@ def _cmd_ttest(args) -> int:
 
 
 def _cmd_viz(args) -> int:
-    cfg = _effective_config(args)
     params, vcfg, hp = training.load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.dims.d, hp.seed)
     examples = _load_examples(args.corpus)

@@ -2,16 +2,17 @@
 
 Embedding file format: plain text, one entry per line,
 ``token v1 v2 ... vd`` with whitespace separation. Tokens are lowercased
-before lookup. Unknown tokens get a row drawn from U(-0.1, 0.1) at first
-lookup, cached so repeated lookups return the identical vector. The RNG
-is numpy's PCG64, seeded at table construction, so the full OOV sequence
-is reproducible given the same corpus traversal order and seed.
+before lookup. An unknown token gets a row from U(-0.1, 0.1), drawn by a
+PCG64 generator seeded from the table seed and a blake2b digest of the
+token, so the row depends on ``(seed, token)`` alone and not on the order
+of lookups. The row is cached at first lookup.
 
 Rows are never modified by training: ``lookup`` returns copies.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import IO
 
 import numpy as np
@@ -24,30 +25,28 @@ class EmbeddingTable:
         if dim < 1:
             raise ConfigError(f"embedding dimension must be positive, got {dim}")
         self.dim = dim
-        self.vocab: dict[str, int] = {}
-        self.rows: list[np.ndarray] = []
+        self.seed = seed
+        self.rows: dict[str, np.ndarray] = {}
         self.oov_log: set[str] = set()
-        self._rng = np.random.Generator(np.random.PCG64(seed))
 
     def __len__(self):
         return len(self.rows)
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self.vocab
+        return token.lower() in self.rows
 
     def lookup(self, token: str) -> np.ndarray:
         """Return the vector for ``token``, materializing an OOV row if needed."""
         if not token:
             raise ValueError("lookup of an empty token")
         key = token.lower()
-        idx = self.vocab.get(key)
-        if idx is None:
-            row = self._rng.uniform(-0.1, 0.1, self.dim)
-            idx = len(self.rows)
-            self.rows.append(row)
-            self.vocab[key] = idx
+        row = self.rows.get(key)
+        if row is None:
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            rng = np.random.default_rng([self.seed, int.from_bytes(digest, "little")])
+            row = self.rows[key] = rng.uniform(-0.1, 0.1, self.dim)
             self.oov_log.add(key)
-        return self.rows[idx].copy()
+        return row.copy()
 
     def embed_sequence(self, tokens) -> np.ndarray:
         """Embed a token sequence into an [n, d] array (n may be 0)."""
@@ -56,11 +55,8 @@ class EmbeddingTable:
         return np.stack([self.lookup(t) for t in tokens])
 
     def matrix_hash(self) -> int:
-        """Order-sensitive hash of all rows; used to assert the freeze invariant."""
-        h = 0
-        for row in self.rows:
-            h = hash((h, row.tobytes()))
-        return h
+        """Order-sensitive hash of all tokens and rows; used to assert the freeze invariant."""
+        return hash(tuple((key, row.tobytes()) for key, row in self.rows.items()))
 
 
 def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
@@ -83,7 +79,5 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: unparsable number ({exc})") from None
-        if token not in table.vocab:
-            table.vocab[token] = len(table.rows)
-            table.rows.append(vec)
+        table.rows.setdefault(token, vec)
     return table

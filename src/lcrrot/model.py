@@ -56,6 +56,10 @@ class Dimensions:
     d_h: int = 300      # LSTM hidden size per direction
     n_classes: int = 3
 
+    def __post_init__(self):
+        if min(self.d, self.d_h, self.n_classes) < 1:
+            raise ConfigError(f"every dimension must be at least 1, got {self}")
+
     @property
     def hidden(self) -> int:
         """Bi-LSTM state size (both directions concatenated)."""

@@ -10,17 +10,18 @@ Each LSTM direction is one ``tensor.lstm_sequence`` node over stacked gate
 matrices, with BPTT written out in numpy. Accuracy passes use
 ``evalreport.predict``, which records no graph.
 
-Checkpoint format: a JSON document with fields ``format_version``,
-``variant``, ``hyperparams``, ``dims`` and ``params`` (a name -> {shape,
-values} map, values as row-major float lists, names like ``left.fwd.w``).
-Python serializes floats with shortest round-trip precision (up to 17
-significant digits), so the round trip is bit-exact.
+Checkpoint format 3: one JSON line holding ``format_version``, ``variant``,
+``hyperparams``, ``dims`` and the parameter names (``params``, in
+``ModelParams.named()`` order), then one raw ``.npy`` record per parameter,
+so the round trip is bit-exact. Saves write ``<path>.tmp`` and rename it
+into place, so a failed save leaves an earlier file at ``path`` intact.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -35,7 +36,7 @@ from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
                     init_params)
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 LOG_EPS = 1e-12  # floor inside log() so a saturated softmax cannot yield -inf
 
 
@@ -59,6 +60,8 @@ class Hyperparams:
             raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch size must be at least 1")
+        if self.max_epochs < 0:
+            raise ConfigError("epoch count must not be negative")
 
 
 class OptimizerState:
@@ -155,12 +158,6 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
     """
     if not examples:
         raise DomainError("training on an empty corpus")
-    # Embed everything up front: fixes the OOV draw order and freezes the table.
-    for ex in examples + (dev_examples or []):
-        table.embed_sequence(ex.left)
-        table.embed_sequence(ex.target)
-        table.embed_sequence(ex.right)
-
     rng = np.random.Generator(np.random.PCG64(hp.seed))
     params = init_params(dims, cfg, rng)
     state = OptimizerState(params)
@@ -217,48 +214,50 @@ def copy_params(params: ModelParams) -> ModelParams:
 
 def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
                     path):
-    doc = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "variant": cfg.variant.value,
         "hyperparams": asdict(hp),
         "dims": asdict(params.dims),
-        "params": {
-            name: {"shape": list(t.data.shape),
-                   "values": t.data.ravel().tolist()}
-            for name, t in params.named()
-        },
+        "params": [name for name, _ in params.named()],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            for _, t in params.named():
+                np.save(fh, t.data, allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path, expect_variant: Optional[Variant] = None,
                     ) -> tuple[ModelParams, VariantConfig, Hyperparams]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {doc.get('format_version')!r}")
-    try:
-        variant = Variant(doc["variant"])
-    except (KeyError, ValueError):
-        raise CheckpointError(f"unknown variant {doc.get('variant')!r}") from None
-    if expect_variant is not None and variant is not expect_variant:
-        raise CheckpointError(
-            f"checkpoint holds {variant.value}, expected {expect_variant.value}")
-    cfg = VariantConfig(variant=variant)
-    hp = Hyperparams(**doc["hyperparams"])
-    dims = Dimensions(**doc["dims"])
-    # rebuild the parameter skeleton, then overwrite every tensor
-    params = init_params(dims, cfg, np.random.Generator(np.random.PCG64(0)))
-    stored = doc["params"]
-    for name, t in params.named():
-        if name not in stored:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        entry = stored[name]
-        arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != t.data.shape:
-            raise CheckpointError(
-                f"{name}: stored shape {arr.shape} != expected {t.data.shape}")
-        t.data = arr
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+            if header["format_version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported version {header['format_version']!r}")
+            variant = Variant(header["variant"])
+            if expect_variant is not None and variant is not expect_variant:
+                raise ValueError(f"holds {variant.value}, expected {expect_variant.value}")
+            cfg = VariantConfig(variant=variant)
+            hp = Hyperparams(**header["hyperparams"])
+            # rebuild the parameter skeleton, then overwrite every tensor
+            params = init_params(Dimensions(**header["dims"]), cfg, np.random.default_rng(0))
+            if header["params"] != [name for name, _ in params.named()]:
+                raise ValueError(f"parameter names do not match a {variant.value} model")
+            for name, t in params.named():
+                arr = np.load(fh, allow_pickle=False)
+                if (arr.shape != t.data.shape or arr.dtype != t.data.dtype
+                        or not np.isfinite(arr).all()):
+                    raise ValueError(f"{name} is not a finite {t.data.dtype} array "
+                                     f"of shape {t.data.shape}")
+                t.data = arr
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last parameter")
+        except (KeyError, TypeError, ValueError, EOFError) as exc:
+            raise CheckpointError(f"{path}: bad checkpoint ({exc})") from None
     return params, cfg, hp

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from lcrrot import training
+from lcrrot import evalreport, training
 from lcrrot.cli import run
+from lcrrot.corpus import load_examples
+from lcrrot.embeddings import EmbeddingTable
 from lcrrot.errors import CheckpointError
 
 CORPUS = """the $T$ was good today
@@ -95,22 +98,23 @@ def test_gradcheck_variant_from_config_file(tmp_path, capsys):
     assert len(results) == 1 and results[0].startswith("no_attention")
 
 
-@pytest.mark.parametrize("flag", ["--batch-size", "--dim"])
+@pytest.mark.parametrize("flag", ["--batch-size", "--dim", "--hidden", "--epochs"])
 def test_zero_size_is_data_error(corpus_file, tmp_path, capsys, flag):
     args = base_train_args(corpus_file, tmp_path)
-    args[args.index(flag) + 1] = "0"
+    args[args.index(flag) + 1] = "-1" if flag == "--epochs" else "0"
     assert run(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
 
 
-def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys):
-    assert run(base_train_args(corpus_file, tmp_path)) == 0
-    ckpt = tmp_path / "model.ckpt"
-    doc = json.loads(ckpt.read_text())
-    # the layout before stacked gates: one entry per gate, e.g. left.fwd.w_i
+def json_checkpoint_docs(path):
+    """The JSON documents that versions 2 (stacked gates) and 1 (one entry
+    per gate, e.g. left.fwd.w_i) would have written for the model at path."""
+    params, cfg, hp = training.load_checkpoint(path)
+    stacked = {name: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
+               for name, t in params.named()}
     per_gate = {}
-    for name, entry in doc["params"].items():
+    for name, entry in stacked.items():
         prefix, kind = name.rsplit(".", 1)
         if prefix.endswith((".fwd", ".bwd")):
             rows = entry["shape"][0] // 4
@@ -122,15 +126,84 @@ def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys
                     "values": entry["values"][k * size:(k + 1) * size]}
         else:
             per_gate[name] = entry
-    doc["format_version"] = 1
-    doc["params"] = per_gate
-    old = tmp_path / "old.ckpt"
-    old.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
-        training.load_checkpoint(old)
+    meta = {"variant": cfg.variant.value, "hyperparams": dataclasses.asdict(hp),
+            "dims": dataclasses.asdict(params.dims)}
+    return [{"format_version": 2, **meta, "params": stacked},
+            {"format_version": 1, **meta, "params": per_gate}]
+
+
+def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    for doc in json_checkpoint_docs(tmp_path / "model.ckpt"):
+        old = tmp_path / f"v{doc['format_version']}.ckpt"
+        old.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="version"):
+            training.load_checkpoint(old)
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_checkpoint_is_data_error(corpus_file, tmp_path, capsys):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
     capsys.readouterr()
-    assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert run(["eval", "--checkpoint", str(ckpt), "--test-corpus", str(corpus_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_eval_takes_no_hyperparameter_flags(corpus_file, tmp_path, capsys):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    assert run(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--test-corpus", str(corpus_file), "--lr", "0.5"]) == 1
+
+
+HELD_OUT = """$T$ was meh today the
+keyboard
+0
+the $T$ screen was good
+battery
+1
+today the $T$ was bad battery
+screen
+-1
+the keyboard $T$ was meh
+screen
+0
+good today was the $T$
+keyboard
+1
+was bad the $T$
+battery
+-1
+"""
+
+
+def test_held_out_eval_matches_training_table(corpus_file, tmp_path, capsys):
+    # Train without --embeddings, so every word is out of vocabulary, then
+    # evaluate a corpus that meets the same words in another order.
+    assert run(base_train_args(corpus_file, tmp_path,
+                               extra=["--epochs", "40", "--lr", "0.3", "--batch-size", "3"])) == 0
+    held_out = tmp_path / "held_out.txt"
+    held_out.write_text(HELD_OUT, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--test-corpus", str(held_out)]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy")][0]
+
+    params, cfg, hp = training.load_checkpoint(tmp_path / "model.ckpt")
+    table = EmbeddingTable(dim=params.dims.d, seed=hp.seed)
+    with open(corpus_file, encoding="utf-8") as fh:
+        train_ex = load_examples(fh)
+    for ex in train_ex:  # the table as training left it
+        table.embed_sequence(ex.left + ex.target + ex.right)
+    with open(held_out, encoding="utf-8") as fh:
+        test_ex = load_examples(fh)
+    expected = evalreport.evaluate(test_ex, table, params, cfg)
+    assert line == (f"accuracy\t{expected.accuracy:.4f}\t"
+                    f"({sum(expected.correct_flags)}/{len(test_ex)})")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -174,6 +247,15 @@ def test_bad_config_key_is_data_error(corpus_file, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("warp_speed = 9\n")
     assert run(base_train_args(corpus_file, tmp_path) + ["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("line", ["batch_size = x", "variant = bogus"])
+def test_bad_config_value_is_data_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 2\n{line}\n")
+    assert run(["gradcheck", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2:")
 
 
 def test_determinism_across_invocations(corpus_file, tmp_path):

@@ -48,14 +48,17 @@ def test_oov_repeat_returns_identical_row():
 
 
 def test_oov_sequence_reproducible_and_bounded():
+    # an OOV row depends on (seed, lowercased token), not on lookup order
     tokens = [f"tok{i}" for i in range(50)]
-    runs = []
-    for _ in range(2):
-        table = EmbeddingTable(dim=5, seed=11)
-        runs.append([table.lookup(t) for t in tokens])
-    for a, b in zip(*runs):
+    forward = EmbeddingTable(dim=5, seed=11)
+    rows = [forward.lookup(t) for t in tokens]
+    backward = EmbeddingTable(dim=5, seed=11)
+    reversed_rows = [backward.lookup(t.upper()) for t in reversed(tokens)][::-1]
+    other_seed = EmbeddingTable(dim=5, seed=12)
+    for token, a, b in zip(tokens, rows, reversed_rows):
         np.testing.assert_array_equal(a, b)
         assert np.all((a >= -0.1) & (a <= 0.1))
+        assert not np.array_equal(a, other_seed.lookup(token))
 
 
 def test_returned_rows_are_copies():

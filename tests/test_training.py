@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -267,7 +268,8 @@ class TestCheckpoint:
         assert loaded_hp == HP
         for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
             assert n1 == n2
-            assert t1.data.tolist() == t2.data.tolist()
+            assert t1.data.shape == t2.data.shape
+            assert t1.data.tobytes() == t2.data.tobytes()
 
     def test_variant_mismatch_rejected(self, tmp_path):
         params, cfg = tiny_params(variant=Variant.NO_ATTENTION)
@@ -277,15 +279,59 @@ class TestCheckpoint:
             load_checkpoint(path, expect_variant=Variant.LCR_ROT)
 
     def test_bad_version_rejected(self, tmp_path):
-        import json
         params, cfg = tiny_params()
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, HP, path)
-        doc = json.loads(path.read_text())
+        header, records = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
         doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError):
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+        with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "truncated", "trailing", "non_finite", "renamed", "reshaped"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        params, cfg = tiny_params(seed=3)
+        path = tmp_path / "model.ckpt"
+        if damage == "non_finite":
+            params.clf_w.data[0, 0] = np.nan
+        save_checkpoint(params, cfg, HP, path)
+        blob = path.read_bytes()
+        header, records = blob.split(b"\n", 1)
+        doc = json.loads(header)
+        if damage == "renamed":
+            doc["params"][0] = "left.fwd.w_i"
+        if damage == "reshaped":
+            doc["dims"]["d"] = 5
+        edited = json.dumps(doc).encode() + b"\n" + records
+        path.write_bytes({"empty": b"", "truncated": blob[:-7], "trailing": blob + b"\0",
+                          "non_finite": blob, "renamed": edited, "reshaped": edited}[damage])
+        reason = {"trailing": "trailing bytes", "non_finite": "clf.w is not a finite",
+                  "renamed": "names do not match", "reshaped": r"left.fwd.w .* shape \(8, 5\)"}
+        with pytest.raises(CheckpointError, match=reason.get(damage, "bad checkpoint")):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        params, cfg = tiny_params(seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        before = path.read_bytes()
+        real_save = np.save
+        calls = []
+
+        def failing_save(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        other, _ = tiny_params(seed=2)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, cfg, HP, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_forward_identical_after_reload(self, tmp_path):
         params, cfg = tiny_params(seed=10)
