@@ -265,12 +265,13 @@ def _cmd_viz(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _effective_config(args)
+    hp = _hyperparams(cfg)  # validates the merged values, the seed among them
     chosen = args.variant or (args.config and "variant" in _read_config_file(args.config))
     variants = [Variant(cfg["variant"])] if chosen else ALL_VARIANTS
     worst = 0.0
     for variant in variants:
-        ex, table, params, vcfg = gradcheck.tiny_setup(variant, seed=cfg["seed"])
-        err = gradcheck.max_gradient_error(ex, table, params, vcfg, lam=cfg["l2"])
+        ex, table, params, vcfg = gradcheck.tiny_setup(variant, seed=hp.seed)
+        err = gradcheck.max_gradient_error(ex, table, params, vcfg, lam=hp.l2_weight)
         print(f"{variant.value:<22}\tmax relative error {err:.3e}")
         worst = max(worst, err)
     if worst >= args.tolerance:

@@ -40,6 +40,9 @@ class EvalResult:
         return sum(self.correct_flags) / len(self.gold)
 
 
+EVAL_CHUNK = 16  # examples per batched forward in an evaluation pass
+
+
 def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
             cfg: VariantConfig) -> str:
     """Argmax label; ties break toward the lowest class index."""
@@ -48,9 +51,20 @@ def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
     return LABELS[int(np.argmax(res.probs.data))]
 
 
+def predict_all(examples, table: EmbeddingTable, params: ModelParams,
+                cfg: VariantConfig) -> list[str]:
+    """``predict`` of every example, run as batches of EVAL_CHUNK."""
+    labels = []
+    with T.no_grad():
+        for start in range(0, len(examples), EVAL_CHUNK):
+            res = forward(examples[start:start + EVAL_CHUNK], table, params, cfg, mode="eval")
+            labels += [LABELS[i] for i in np.argmax(res.probs.data, axis=1)]
+    return labels
+
+
 def evaluate(examples, table, params, cfg) -> EvalResult:
-    preds = [predict(ex, table, params, cfg) for ex in examples]
-    return EvalResult(predicted=preds, gold=[ex.label for ex in examples])
+    return EvalResult(predicted=predict_all(examples, table, params, cfg),
+                      gold=[ex.label for ex in examples])
 
 
 def majority_baseline(train_examples, test_examples) -> float:

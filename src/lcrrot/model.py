@@ -17,6 +17,14 @@ Variants:
     states, no attention anywhere.
   * attention_reverse   - run context2target first (with pooled-context
     queries), then target2context with the attended targets as queries.
+
+``forward`` takes one example or a list of them. A list runs as one batch:
+each segment is embedded into a zero-padded [B, n, d] block with its
+lengths, each LSTM direction is one packed ``tensor.lstm_sequence`` node
+over the whole batch, attention uses a masked softmax, and pooling a
+masked mean, so an empty context still gives a zero vector. One example
+runs the same maths without the batch axis; ``predict``, attention export
+and the gradient check use it, because at B = 1 it is the cheaper path.
 """
 
 from __future__ import annotations
@@ -172,51 +180,103 @@ def init_params(dims: Dimensions, cfg: VariantConfig,
                        clf_w=clf_w, clf_b=clf_b)
 
 
-def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
-                  d_h: int) -> Optional[Tensor]:
-    """Encode an [n, d] embedding block into [n, 2*d_h] hidden states.
+def encode_bilstm(embedded: np.ndarray, p: BiLstmParams, d_h: int,
+                  lengths: Optional[np.ndarray] = None) -> Optional[Tensor]:
+    """Encode an [n, d] embedding block into [n, 2*d_h] hidden states, or a
+    zero-padded batch [B, n, d] with ``lengths`` into [B, n, 2*d_h].
 
     Position i concatenates the forward state after tokens 1..i with the
-    backward state after tokens n..i. Returns None for n = 0.
+    backward state after tokens n..i. Returns None when no sequence has a
+    token.
     """
-    if embedded.shape[0] == 0:
+    if embedded.shape[-2] == 0:
         return None
     x = Tensor(embedded)
-    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b),
-                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, reverse=True)])
+    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b, lengths=lengths),
+                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, reverse=True,
+                                     lengths=lengths)])
 
 
-def pool_target(hidden: Tensor) -> Tensor:
+def _mask(hidden: Tensor, lengths: np.ndarray) -> np.ndarray:
+    return np.arange(hidden.shape[1]) < lengths[:, None]
+
+
+def _mean(hidden: Tensor, lengths: Optional[np.ndarray]) -> Tensor:
+    """Mean over each sequence's rows; a batch row of length 0 gives 0."""
+    if lengths is None:
+        return T.mean_rows(hidden)
+    weights = _mask(hidden, lengths) / np.maximum(lengths, 1)[:, None]
+    return T.einsum("bn,bnh->bh", Tensor(weights), hidden)
+
+
+def pool_target(hidden: Optional[Tensor], lengths: Optional[np.ndarray] = None) -> Tensor:
     """Average pooling over the target's hidden states."""
-    if hidden is None or hidden.shape[0] < 1:
+    if hidden is None or hidden.shape[-2] < 1 or lengths is not None and lengths.min() < 1:
         raise DomainError("pool_target requires at least one hidden state")
-    return T.mean_rows(hidden)
+    return _mean(hidden, lengths)
 
 
-def attend(hidden: Optional[Tensor], query: Tensor, w: Tensor,
-           b: Tensor) -> tuple[Optional[Tensor], Tensor]:
+def attend(hidden: Optional[Tensor], query: Tensor, w: Tensor, b: Tensor,
+           lengths: Optional[np.ndarray] = None) -> tuple[Optional[Tensor], Tensor]:
     """Bilinear attention: score_i = tanh(h_i . W . q + b), weights softmax.
 
     Returns (alpha, r) with r the weighted combination of hidden states.
-    An empty sequence (hidden is None) yields (None, zero vector), so a
-    missing context degrades gracefully instead of erroring.
+    An empty sequence (hidden is None, or a batch row of length 0) yields
+    zero weights and a zero vector, so a missing context degrades
+    gracefully instead of erroring.
     """
     if hidden is None:
-        return None, Tensor(np.zeros(w.shape[0]))
-    scores = T.tanh(T.add(T.matmul(hidden, T.matmul(w, query)), b))
-    alpha = T.softmax(scores)
-    return alpha, T.matmul(alpha, hidden)
+        return None, Tensor(np.zeros(np.shape(lengths) + (w.shape[0],)))
+    if lengths is None:
+        scores = T.tanh(T.add(T.matmul(hidden, T.matmul(w, query)), b))
+        alpha = T.softmax(scores)
+        return alpha, T.matmul(alpha, hidden)
+    scores = T.tanh(T.add(T.einsum("bnh,bh->bn", hidden, T.einsum("bq,hq->bh", query, w)), b))
+    alpha = T.softmax(scores, _mask(hidden, lengths))
+    return alpha, T.einsum("bn,bnh->bh", alpha, hidden)
 
 
-def _mean_or_zero(hidden: Optional[Tensor], size: int) -> Tensor:
+def _mean_or_zero(hidden: Optional[Tensor], size: int,
+                  lengths: Optional[np.ndarray]) -> Tensor:
     if hidden is None:
-        return Tensor(np.zeros(size))
-    return T.mean_rows(hidden)
+        return Tensor(np.zeros(np.shape(lengths) + (size,)))
+    return _mean(hidden, lengths)
+
+
+def dropout(v: Tensor, rate: float, mode: str,
+            rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout: identity in eval mode, mask + rescale in train mode.
+
+    A batch [B, k] draws its mask in one call, which gives the same numbers
+    as B draws of k in row order.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if mode == "eval" or rate == 0.0:
+        return v
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    mask = (rng.random(v.data.shape) >= rate) / (1.0 - rate)
+    return T.mul(v, Tensor(mask))
+
+
+def _embed_batch(table: EmbeddingTable, segments) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded [B, n, d] embeddings of token sequences, and their lengths."""
+    lengths = np.array([len(tokens) for tokens in segments])
+    out = np.zeros((len(segments), lengths.max(initial=0), table.dim))
+    for row, tokens in zip(out, segments):
+        row[:len(tokens)] = table.embed_sequence(tokens)
+    return out, lengths
 
 
 @dataclass
 class AttentionRecord:
-    """Attention weights and component representations from one forward pass."""
+    """Attention weights and component representations from one forward pass.
+
+    For a batch every array has a leading batch axis, and weights are 0 at
+    padding; a weight array is None when its segment is empty in every
+    example.
+    """
     alpha_l: Optional[np.ndarray]
     alpha_r: Optional[np.ndarray]
     alpha_tl: Optional[np.ndarray]
@@ -230,16 +290,16 @@ class AttentionRecord:
 
 @dataclass
 class ForwardResult:
-    probs: Tensor            # [n_classes], sums to 1
+    probs: Tensor            # [n_classes] (or [B, n_classes]), sums to 1
     sentence_vec: Tensor     # v, before the classifier (after dropout in train mode)
     record: AttentionRecord
 
 
-def forward(ex: Example, table: EmbeddingTable, params: ModelParams,
-            cfg: VariantConfig, mode: str = "eval",
+def forward(ex: Example | list[Example], table: EmbeddingTable,
+            params: ModelParams, cfg: VariantConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
             dropout_rate: float = 0.0) -> ForwardResult:
-    """Run one example through the network.
+    """Run one example, or a list of examples as one batch, through the network.
 
     In train mode, inverted dropout is applied to the sentence vector
     before the classifier (rng required when dropout_rate > 0).
@@ -250,62 +310,70 @@ def forward(ex: Example, table: EmbeddingTable, params: ModelParams,
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
 
+    single = isinstance(ex, Example)
+    if not single and not ex:
+        raise DomainError("forward of an empty batch")
+
     variant = params.variant
     dims = params.dims
     h_size = dims.hidden
     a = params.attention
 
-    left_emb = table.embed_sequence(ex.left)
-    target_emb = table.embed_sequence(ex.target)
-    right_emb = table.embed_sequence(ex.right)
+    def embed(segment):
+        if single:
+            return table.embed_sequence(getattr(ex, segment)), None
+        return _embed_batch(table, [getattr(e, segment) for e in ex])
 
-    hid_l = encode_bilstm(left_emb, params.left, dims.d_h)
-    hid_r = encode_bilstm(right_emb, params.right, dims.d_h)
+    (left_emb, len_l), (target_emb, len_t), (right_emb, len_r) = (
+        embed(segment) for segment in ("left", "target", "right"))
+
+    hid_l = encode_bilstm(left_emb, params.left, dims.d_h, len_l)
+    hid_r = encode_bilstm(right_emb, params.right, dims.d_h, len_r)
     hid_t = None
     if params.center is not None:
-        hid_t = encode_bilstm(target_emb, params.center, dims.d_h)
+        hid_t = encode_bilstm(target_emb, params.center, dims.d_h, len_t)
 
     alpha_l = alpha_r = alpha_tl = alpha_tr = None
     r_tl = r_tr = r_t = None
 
     if variant is Variant.LCR_ROT:
-        r_t = pool_target(hid_t)
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"])
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"])
-        alpha_tl, r_tl = attend(hid_t, r_l, a["w_tl"], a["b_tl"])
-        alpha_tr, r_tr = attend(hid_t, r_r, a["w_tr"], a["b_tr"])
+        r_t = pool_target(hid_t, len_t)
+        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
+        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
+        alpha_tl, r_tl = attend(hid_t, r_l, a["w_tl"], a["b_tl"], len_t)
+        alpha_tr, r_tr = attend(hid_t, r_r, a["w_tr"], a["b_tr"], len_t)
         v = T.concat([r_l, r_tl, r_tr, r_r])
     elif variant is Variant.NO_TARGET_ATTENTION:
-        r_t = pool_target(hid_t)
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"])
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"])
+        r_t = pool_target(hid_t, len_t)
+        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
+        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
         v = T.concat([r_l, r_t, r_r])
     elif variant is Variant.NO_TARGET_LEARNED:
-        r_t = Tensor(target_emb.mean(axis=0))
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"])
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"])
+        r_t = _mean(Tensor(target_emb), len_t)
+        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
+        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
         v = T.concat([r_l, r_t, r_r])
     elif variant is Variant.NO_ATTENTION:
-        r_l = _mean_or_zero(hid_l, h_size)
-        r_r = _mean_or_zero(hid_r, h_size)
-        r_t = pool_target(hid_t)
+        r_l = _mean_or_zero(hid_l, h_size, len_l)
+        r_r = _mean_or_zero(hid_r, h_size, len_r)
+        r_t = pool_target(hid_t, len_t)
         v = T.concat([r_l, r_t, r_r])
     elif variant is Variant.ATTENTION_REVERSE:
-        q_left = _mean_or_zero(hid_l, h_size)
-        q_right = _mean_or_zero(hid_r, h_size)
-        alpha_tl, r_tl = attend(hid_t, q_left, a["w_tl"], a["b_tl"])
-        alpha_tr, r_tr = attend(hid_t, q_right, a["w_tr"], a["b_tr"])
-        alpha_l, r_l = attend(hid_l, r_tl, a["w_cl"], a["b_cl"])
-        alpha_r, r_r = attend(hid_r, r_tr, a["w_cr"], a["b_cr"])
+        q_left = _mean_or_zero(hid_l, h_size, len_l)
+        q_right = _mean_or_zero(hid_r, h_size, len_r)
+        alpha_tl, r_tl = attend(hid_t, q_left, a["w_tl"], a["b_tl"], len_t)
+        alpha_tr, r_tr = attend(hid_t, q_right, a["w_tr"], a["b_tr"], len_t)
+        alpha_l, r_l = attend(hid_l, r_tl, a["w_cl"], a["b_cl"], len_l)
+        alpha_r, r_r = attend(hid_r, r_tr, a["w_cr"], a["b_cr"], len_r)
         v = T.concat([r_l, r_tl, r_tr, r_r])
     else:
         raise ConfigError(f"unknown variant {variant}")
 
     if mode == "train" and dropout_rate > 0.0:
-        from .training import dropout
         v = dropout(v, dropout_rate, mode, rng)
 
-    probs = T.softmax(T.add(T.matmul(params.clf_w, v), params.clf_b))
+    logits = T.matmul(params.clf_w, v) if single else T.einsum("bv,cv->bc", v, params.clf_w)
+    probs = T.softmax(T.add(logits, params.clf_b))
 
     def val(t):
         return None if t is None else np.array(t.data)

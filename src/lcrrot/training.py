@@ -1,4 +1,4 @@
-"""Loss, SGD-with-momentum, dropout, the epoch loop and checkpointing.
+"""Loss, SGD-with-momentum, the epoch loop and checkpointing.
 
 Loss per instance is cross entropy against the one-hot label plus an L2
 penalty over the full trainable parameter set (embeddings excluded; the
@@ -6,9 +6,11 @@ penalty covers biases by default, with a flag for the conventional
 weights-only variant). Batch loss is the mean cross entropy over the
 batch plus the penalty added once.
 
-Each LSTM direction is one ``tensor.lstm_sequence`` node over stacked gate
-matrices, with BPTT written out in numpy. Accuracy passes use
-``evalreport.predict``, which records no graph.
+Each mini-batch runs as one batched forward (``model.forward`` on the list
+of examples) and one backward, which consumes the graph. Dropout draws one
+[B, v] mask per batch, the same numbers as one draw per example. Accuracy
+passes use ``evalreport.predict_all``, which runs chunks of examples
+through the batched path without recording a graph.
 
 Checkpoint format 3: one JSON line holding ``format_version``, ``variant``,
 ``hyperparams``, ``dims`` and the parameter names (``params``, in
@@ -31,7 +33,7 @@ from . import tensor as T
 from .corpus import Example
 from .embeddings import EmbeddingTable
 from .errors import CheckpointError, ConfigError, DomainError, ShapeError
-from .evalreport import predict
+from .evalreport import predict_all
 from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
                     init_params)
 from .tensor import Tensor
@@ -52,8 +54,11 @@ class Hyperparams:
     regularize_biases: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # written so that NaN fails every check
+        if not self.learning_rate > 0:
             raise ConfigError("learning rate must be positive")
+        if not self.l2_weight >= 0:
+            raise ConfigError("L2 weight must not be negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -62,6 +67,8 @@ class Hyperparams:
             raise ConfigError("batch size must be at least 1")
         if self.max_epochs < 0:
             raise ConfigError("epoch count must not be negative")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
 
 
 class OptimizerState:
@@ -71,9 +78,11 @@ class OptimizerState:
         self.velocity = {name: np.zeros(t.data.shape) for name, t in params.named()}
 
 
-def cross_entropy(probs: Tensor, label_index: int) -> Tensor:
-    """-log p_true with the probability floored at LOG_EPS."""
-    return T.scale(T.log(T.clip_min(T.index(probs, label_index), LOG_EPS)), -1.0)
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """-log p_true with the probability floored at LOG_EPS: a scalar for one
+    probability vector, one value per row for a batch [B, n_classes]."""
+    key = labels if probs.data.ndim == 1 else (np.arange(len(labels)), np.asarray(labels))
+    return T.scale(T.log(T.clip_min(T.index(probs, key), LOG_EPS)), -1.0)
 
 
 def l2_penalty(params: ModelParams, lam: float,
@@ -93,28 +102,16 @@ def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float,
                  l2_penalty(params, lam, include_biases))
 
 
-def batch_loss(prob_list, label_indices, params: ModelParams, lam: float,
+def batch_loss(probs: Tensor, label_indices, params: ModelParams, lam: float,
                include_biases: bool = True) -> Tensor:
-    ces = [cross_entropy(p, y) for p, y in zip(prob_list, label_indices)]
-    return T.add(T.tmean(T.stack(ces)), l2_penalty(params, lam, include_biases))
-
-
-def dropout(v: Tensor, rate: float, mode: str,
-            rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout: identity in eval mode, mask + rescale in train mode."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
-        return v
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(v.data.shape) >= rate) / (1.0 - rate)
-    return T.mul(v, Tensor(mask))
+    """Mean cross entropy over the rows of probs [B, n_classes], plus the penalty once."""
+    return T.add(T.tmean(cross_entropy(probs, label_indices)),
+                 l2_penalty(params, lam, include_biases))
 
 
 def sgd_momentum_step(params: ModelParams, state: OptimizerState,
                       lr: float, momentum: float):
-    """vel <- mu*vel - lr*grad; theta <- theta + vel. Missing grads count as zero."""
+    """vel <- mu*vel - lr*grad; theta <- theta + vel, in place. Missing grads count as zero."""
     for name, t in params.named():
         grad = t.grad if t.grad is not None else np.zeros(t.data.shape)
         if grad.shape != t.data.shape:
@@ -123,7 +120,7 @@ def sgd_momentum_step(params: ModelParams, state: OptimizerState,
         vel = state.velocity[name]
         vel *= momentum
         vel -= lr * grad
-        t.data = t.data + vel
+        t.data += vel
 
 
 @dataclass
@@ -141,7 +138,8 @@ class EpochMetrics:
 
 
 def evaluate_accuracy(examples, table, params, cfg) -> float:
-    return sum(predict(ex, table, params, cfg) == ex.label for ex in examples) / len(examples)
+    predicted = predict_all(examples, table, params, cfg)
+    return sum(p == ex.label for p, ex in zip(predicted, examples)) / len(examples)
 
 
 def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
@@ -172,18 +170,13 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
         total_ce = 0.0
         for start in range(0, len(order), hp.batch_size):
             batch = [examples[i] for i in order[start:start + hp.batch_size]]
-            probs = []
-            labels = []
-            for ex in batch:
-                res = forward(ex, table, params, cfg, mode="train", rng=rng,
-                              dropout_rate=hp.dropout_rate)
-                probs.append(res.probs)
-                labels.append(ex.label_index)
-            bl = batch_loss(probs, labels, params, hp.l2_weight,
-                            include_biases=hp.regularize_biases)
-            params.zero_grad()
+            res = forward(batch, table, params, cfg, mode="train", rng=rng,
+                          dropout_rate=hp.dropout_rate)
+            bl = batch_loss(res.probs, [ex.label_index for ex in batch], params,
+                            hp.l2_weight, include_biases=hp.regularize_biases)
             bl.backward()
             sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
+            params.zero_grad()  # free the gradients before the next batch allocates its own
             total_ce += float(bl.data) * len(batch)
 
         # accuracy measured at epoch end in eval mode, so `eval` on the same

@@ -107,6 +107,16 @@ def test_zero_size_is_data_error(corpus_file, tmp_path, capsys, flag):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):
+    args = base_train_args(corpus_file, tmp_path)
+    args[args.index("--seed") + 1] = "-1"
+    for argv in (args, ["gradcheck", "--variant", "no_attention", "--seed", "-1"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def json_checkpoint_docs(path):
     """The JSON documents that versions 2 (stacked gates) and 1 (one entry
     per gate, e.g. left.fwd.w_i) would have written for the model at path."""

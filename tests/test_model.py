@@ -12,7 +12,7 @@ from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           attend, encode_bilstm, forward, init_params,
                           pool_target, sentence_vector_dim)
 from lcrrot.tensor import Tensor
-from lcrrot.training import loss
+from lcrrot.training import batch_loss, cross_entropy, l2_penalty, loss
 
 
 def rng(seed=0):
@@ -381,3 +381,65 @@ class TestForward:
         e = np.exp(z - z.max())
         expected = e / e.sum()
         np.testing.assert_allclose(res.probs.data, expected, atol=1e-12)
+
+
+# (left, target, right) lengths per example of a batch
+BATCHES = {
+    "ragged": [(3, 2, 2), (0, 1, 4), (5, 3, 0), (1, 1, 1)],
+    "single": [(2, 2, 3)],
+    "all_left_empty": [(0, 2, 1), (0, 1, 3), (0, 3, 2)],
+    "one_much_longer": [(30, 2, 1), (1, 1, 2), (2, 4, 28), (0, 1, 1)],
+}
+
+
+def batch_examples(shape):
+    labels = ("negative", "neutral", "positive")
+    return [Example(left=tuple(f"l{b}_{i}" for i in range(n_l)),
+                    target=tuple(f"t{b}_{i}" for i in range(n_t)),
+                    right=tuple(f"r{b}_{i}" for i in range(n_r)), label=labels[b % 3])
+            for b, (n_l, n_t, n_r) in enumerate(shape)]
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_matches_per_example(self, variant, dropout_rate, batch):
+        table, params, cfg = make_setup(variant, seed=12)
+        examples = batch_examples(BATCHES[batch])
+        labels = [ex.label_index for ex in examples]
+        lam = 1e-3
+
+        # per example, each drawing its dropout mask in batch order
+        g = rng(3)
+        singles = [forward(ex, table, params, cfg, mode="train", rng=g,
+                           dropout_rate=dropout_rate) for ex in examples]
+        ces = [cross_entropy(res.probs, y) for res, y in zip(singles, labels)]
+        params.zero_grad()
+        T.add(T.tmean(T.stack(ces)), l2_penalty(params, lam)).backward()
+        expected = {name: t.grad.copy() for name, t in params.named()}
+
+        res = forward(examples, table, params, cfg, mode="train", rng=rng(3),
+                      dropout_rate=dropout_rate)
+        params.zero_grad()
+        batch_loss(res.probs, labels, params, lam).backward()
+
+        np.testing.assert_allclose(res.probs.data, [r.probs.data for r in singles],
+                                   rtol=0, atol=1e-12)
+        for name, t in params.named():
+            np.testing.assert_allclose(t.grad, expected[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+        for field in ("alpha_l", "alpha_r", "alpha_tl", "alpha_tr"):
+            batched = getattr(res.record, field)
+            for b, single in enumerate(r.record for r in singles):
+                one = getattr(single, field)
+                if one is None:
+                    assert batched is None or not batched[b].any()
+                else:
+                    np.testing.assert_allclose(batched[b, :len(one)], one, rtol=0, atol=1e-12)
+                    assert not batched[b, len(one):].any()
+
+    def test_empty_batch(self):
+        table, params, cfg = make_setup(Variant.LCR_ROT)
+        with pytest.raises(DomainError):
+            forward([], table, params, cfg)

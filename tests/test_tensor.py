@@ -114,6 +114,24 @@ class TestSoftmax:
         with pytest.raises(DomainError):
             T.softmax(Tensor(np.zeros(0)))
 
+    def test_rows_with_mask(self):
+        x = rng(3).uniform(-5, 5, (3, 4))
+        mask = np.array([[True, True, False, False], [True] * 4, [False] * 4])
+        out = T.softmax(Tensor(x), mask).data
+        np.testing.assert_allclose(out[0, :2], T.softmax(Tensor(x[0, :2])).data, atol=1e-15)
+        np.testing.assert_allclose(out[1], T.softmax(Tensor(x[1])).data, atol=1e-15)
+        # masked entries and a row with nothing left get weight 0
+        assert not out[0, 2:].any() and not out[2].any()
+
+    def test_masked_gradient_matches_finite_differences(self):
+        x = Tensor(rng(4).uniform(-2, 2, (3, 4)), requires_grad=True)
+        mask = np.array([[True, False, True, True], [True] * 4, [False] * 4])
+        weights = Tensor(rng(5).uniform(-1, 1, (3, 4)))
+        _fd_check(lambda: T.tmean(T.mul(T.softmax(x, mask), weights)), [x])
+        x.zero_grad()
+        T.tmean(T.mul(T.softmax(x, mask), weights)).backward()
+        assert not x.grad[~mask].any()
+
 
 class TestReduce:
     def test_mean_single_vector(self):
@@ -141,6 +159,30 @@ class TestReduce:
             T.concat([])
         with pytest.raises(DomainError):
             T.stack([])
+
+
+class TestBatchOps:
+    def test_einsum_matches_numpy_and_finite_differences(self):
+        a = Tensor(rng(6).uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        v = Tensor(rng(7).uniform(-1, 1, (2, 4)), requires_grad=True)
+        out = T.einsum("bnh,bh->bn", a, v)
+        np.testing.assert_allclose(out.data, [a.data[b] @ v.data[b] for b in range(2)],
+                                   atol=1e-15)
+        _fd_check(lambda: T.tmean(T.tanh(T.einsum("bnh,bh->bn", a, v))), [a, v])
+
+    def test_add_broadcasts_a_bias_row(self):
+        x = Tensor(rng(8).uniform(-1, 1, (3, 2)), requires_grad=True)
+        b = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        np.testing.assert_array_equal(T.add(x, b).data, x.data + b.data)
+        _fd_check(lambda: T.tmean(T.tanh(T.add(x, b))), [x, b])
+        with pytest.raises(ShapeError):
+            T.add(x, Tensor(np.zeros(3)))
+
+    def test_index_picks_one_entry_per_row(self):
+        p = Tensor(rng(9).uniform(0.1, 1, (4, 3)), requires_grad=True)
+        key = (np.arange(4), np.array([2, 0, 2, 1]))
+        np.testing.assert_array_equal(T.index(p, key).data, p.data[key])
+        _fd_check(lambda: T.tmean(T.log(T.index(p, key))), [p])
 
 
 class TestBackward:
@@ -173,6 +215,23 @@ class TestBackward:
         y = T.add(T.mul(x, x), T.scale(x, 2.0))
         y.backward()
         assert x.grad == pytest.approx(8.0, abs=1e-12)
+
+    def test_backward_releases_the_graph(self):
+        w = Tensor(rng(10).uniform(-1, 1, (2, 3)), requires_grad=True)
+        x = Tensor(rng(11).uniform(-1, 1, 3), requires_grad=True)
+        hidden = T.tanh(T.matmul(w, x))
+        loss = T.tmean(T.mul(hidden, hidden))
+        loss.backward()
+        for node in (hidden, loss):
+            assert node._prev == () and node._backward is None
+        expected = np.outer(2 * hidden.data * (1 - hidden.data ** 2) / 2, x.data)
+        np.testing.assert_allclose(w.grad, expected, atol=1e-15)
+        assert x.grad is not None
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        # another loss over a released node cannot silently lose its gradient
+        with pytest.raises(RuntimeError):
+            T.tmean(hidden).backward()
 
     def test_zeroing_between_steps(self):
         x = Tensor(1.0, requires_grad=True)
@@ -302,3 +361,44 @@ class TestLstmSequence:
             T.lstm_sequence(Tensor(xs), Tensor(w[:, :-1]), Tensor(u), Tensor(b))
         with pytest.raises(ShapeError):
             T.lstm_sequence(Tensor(xs), Tensor(w), Tensor(u), Tensor(b[:-1]))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_batch_matches_single_sequences(self, reverse):
+        g = rng(23)
+        lengths = [4, 0, 7, 1, 7, 3]
+        d, d_h, width = 5, 3, 8  # one padded row more than the longest sequence
+        w, u, b = (Tensor(g.uniform(-0.5, 0.5, shape), requires_grad=True)
+                   for shape in ((4 * d_h, d), (4 * d_h, d_h), 4 * d_h))
+        xs = g.uniform(-1, 1, (len(lengths), width, d))
+        weights = g.uniform(-1, 1, (len(lengths), width, d_h))
+
+        def weighted_sum(out, weights):
+            return T.scale(T.tmean(T.mul(out, Tensor(weights))), out.data.size)
+
+        # the batch's loss is the sum of the sequences' losses
+        expected_out = np.zeros((len(lengths), width, d_h))
+        expected_dx = np.zeros(xs.shape)
+        for j, n in enumerate(lengths):
+            if n:
+                x = Tensor(xs[j, :n], requires_grad=True)
+                out = T.lstm_sequence(x, w, u, b, reverse=reverse)
+                weighted_sum(out, weights[j, :n]).backward()
+                expected_out[j, :n], expected_dx[j, :n] = out.data, x.grad
+        expected_grads = [t.grad for t in (w, u, b)]
+        for t in (w, u, b):
+            t.zero_grad()
+        x = Tensor(xs, requires_grad=True)
+        out = T.lstm_sequence(x, w, u, b, reverse=reverse, lengths=lengths)
+        weighted_sum(out, weights).backward()
+
+        np.testing.assert_allclose(out.data, expected_out, rtol=0, atol=1e-12)
+        for got, want in zip((w, u, b), expected_grads):
+            np.testing.assert_allclose(got.grad, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x.grad, expected_dx, rtol=0, atol=1e-10)
+
+    def test_lengths_longer_than_the_block_rejected(self):
+        xs, w, u, b, _ = lstm_case(24, 3)
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), lengths=[4])
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), lengths=[1, 2])

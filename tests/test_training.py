@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from lcrrot import evalreport, training
 from lcrrot import tensor as T
-from lcrrot import training
 from lcrrot.corpus import Example
 from lcrrot.embeddings import EmbeddingTable
-from lcrrot.errors import CheckpointError, DomainError
-from lcrrot.model import Dimensions, Variant, VariantConfig, forward, init_params
+from lcrrot.errors import CheckpointError, ConfigError, DomainError
+from lcrrot.model import (Dimensions, Variant, VariantConfig, dropout, forward,
+                          init_params)
 from lcrrot.tensor import Tensor
-from lcrrot.training import (Hyperparams, OptimizerState, dropout, loss,
-                             load_checkpoint, save_checkpoint,
-                             sgd_momentum_step, train)
+from lcrrot.training import (Hyperparams, OptimizerState, loss, load_checkpoint,
+                             save_checkpoint, sgd_momentum_step, train)
 
 
 def rng(seed=0):
@@ -232,9 +232,74 @@ class TestTrain:
         assert all(m.dev_acc is not None for m in metrics)
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("l2_weight", math.nan), ("l2_weight", -1e-5),
+        ("dropout_rate", math.nan), ("momentum", math.nan), ("seed", -1)])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            Hyperparams(**{field: value})
+
+    def test_zero_l2_and_seed_accepted(self):
+        Hyperparams(l2_weight=0.0, seed=0)
+
+
+def per_example_train(examples, table, hp):
+    """Reference for train() without a dev set: every example of a batch
+    runs through forward on its own, in batch order, drawing its own
+    dropout mask from the shared generator."""
+    g = rng(hp.seed)
+    params = init_params(DIMS, CFG, g)
+    state = OptimizerState(params)
+    order = np.arange(len(examples))
+    for _ in range(hp.max_epochs):
+        g.shuffle(order)
+        for start in range(0, len(order), hp.batch_size):
+            batch = [examples[i] for i in order[start:start + hp.batch_size]]
+            ces = [training.cross_entropy(
+                forward(ex, table, params, CFG, mode="train", rng=g,
+                        dropout_rate=hp.dropout_rate).probs, ex.label_index)
+                   for ex in batch]
+            total = T.add(T.tmean(T.stack(ces)), training.l2_penalty(params, hp.l2_weight))
+            params.zero_grad()
+            total.backward()
+            sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
+    return params
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_two_epochs_match_per_example_loop(self, dropout_rate):
+        # ragged contexts, some empty, and a last batch smaller than the rest
+        g = np.random.default_rng(5)
+        examples = [Example(left=tuple(f"w{j}" for j in g.integers(0, 9, g.integers(0, 6))),
+                            target=tuple(f"t{j}" for j in g.integers(0, 4, g.integers(1, 3))),
+                            right=tuple(f"w{j}" for j in g.integers(0, 9, g.integers(0, 6))),
+                            label=("negative", "neutral", "positive")[i % 3])
+                    for i in range(11)]
+        hp = Hyperparams(learning_rate=0.1, l2_weight=1e-3, dropout_rate=dropout_rate,
+                         momentum=0.9, batch_size=4, max_epochs=2, seed=21)
+        table = EmbeddingTable(dim=6, seed=1)
+        params, _ = train(examples, table, CFG, hp, DIMS)
+        reference = per_example_train(examples, table, hp)
+        initial = init_params(DIMS, CFG, rng(hp.seed))
+        for (name, got), (_, want), (_, start) in zip(params.named(), reference.named(),
+                                                      initial.named()):
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10, err_msg=name)
+            assert np.any(got.data != start.data), name
+
+    def test_evaluate_accuracy_matches_per_example_predict(self):
+        params, cfg = tiny_params(seed=12)
+        table = EmbeddingTable(dim=4, seed=3)
+        examples = make_corpus(n=37, seed=4)  # three chunks, the last one short
+        expected = [evalreport.predict(ex, table, params, cfg) for ex in examples]
+        assert evalreport.predict_all(examples, table, params, cfg) == expected
+        assert training.evaluate_accuracy(examples, table, params, cfg) == \
+            sum(p == ex.label for p, ex in zip(expected, examples)) / len(examples)
+
+
 class TestNoGradEval:
     def test_eval_paths_record_no_graph(self, monkeypatch):
-        from lcrrot import evalreport
         params, cfg = tiny_params(seed=11)
         table = EmbeddingTable(dim=4, seed=2)
         examples = make_corpus(n=3)
@@ -250,7 +315,9 @@ class TestNoGradEval:
         evalreport.evaluate(examples, table, params, cfg)
         evalreport.attention_export(examples[0], table, params, cfg)
         training.evaluate_accuracy(examples, table, params, cfg)
-        assert len(seen) == 1 + 3 + 1 + 3
+        # predict and attention_export run one example; evaluate and the
+        # accuracy pass run their three examples as one batch
+        assert len(seen) == 1 + 1 + 1 + 1
         for probs in seen:
             assert probs.requires_grad is False and probs._prev == ()
 
