@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, eval, ablate, stats, ttest, viz, gradcheck.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
-failure (gradient check above tolerance).
+Exit codes: 0 success, 1 usage error, 2 data/format error (an unreadable
+or non-UTF-8 input file among them), 3 numeric failure (gradient check
+above tolerance).
 
 train, ablate and gradcheck take the hyperparameter flags and a
 ``key = value`` config file (--config); explicit flags override config
@@ -303,7 +304,7 @@ def run(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (FormatError, DomainError, CheckpointError, ConfigError, ShapeError,
-            FileNotFoundError) as exc:
+            UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

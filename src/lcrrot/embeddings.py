@@ -13,6 +13,7 @@ Rows are never modified by training: ``lookup`` returns copies.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import IO
 
 import numpy as np
@@ -63,8 +64,9 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
     """Parse an embedding stream into a table.
 
     Duplicate tokens keep their first occurrence. A line whose numeric
-    count differs from ``dim``, or with an unparsable number, raises
-    FormatError naming the 1-based line number.
+    count differs from ``dim``, with an unparsable or non-finite number, or
+    whose numbers sum beyond the float range, raises FormatError naming the
+    1-based line number.
     """
     table = EmbeddingTable(dim=dim, seed=seed)
     for lineno, line in enumerate(source, start=1):
@@ -76,8 +78,10 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
             raise FormatError(
                 f"line {lineno}: expected {dim} values, found {len(parts) - 1}")
         try:
-            vec = np.array([float(x) for x in parts[1:]])
+            values = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: unparsable number ({exc})") from None
-        table.rows.setdefault(token, vec)
+        if not math.isfinite(sum(values)):  # NaN and inf carry through the sum
+            raise FormatError(f"line {lineno}: non-finite value for {token!r}")
+        table.rows.setdefault(token, np.array(values))
     return table

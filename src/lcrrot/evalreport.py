@@ -45,15 +45,14 @@ EVAL_CHUNK = 16  # examples per batched forward in an evaluation pass
 
 def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
             cfg: VariantConfig) -> str:
-    """Argmax label; ties break toward the lowest class index."""
-    with T.no_grad():
-        res = forward(ex, table, params, cfg, mode="eval")
-    return LABELS[int(np.argmax(res.probs.data))]
+    """Argmax label of one example: ``predict_all`` of a batch of one."""
+    return predict_all([ex], table, params, cfg)[0]
 
 
 def predict_all(examples, table: EmbeddingTable, params: ModelParams,
                 cfg: VariantConfig) -> list[str]:
-    """``predict`` of every example, run as batches of EVAL_CHUNK."""
+    """Argmax label of every example, run as batches of EVAL_CHUNK; ties
+    break toward the lowest class index."""
     labels = []
     with T.no_grad():
         for start in range(0, len(examples), EVAL_CHUNK):
@@ -63,6 +62,8 @@ def predict_all(examples, table: EmbeddingTable, params: ModelParams,
 
 
 def evaluate(examples, table, params, cfg) -> EvalResult:
+    if not examples:
+        raise DomainError("evaluation of an empty corpus")
     return EvalResult(predicted=predict_all(examples, table, params, cfg),
                       gold=[ex.label for ex in examples])
 

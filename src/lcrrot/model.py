@@ -18,13 +18,13 @@ Variants:
   * attention_reverse   - run context2target first (with pooled-context
     queries), then target2context with the attended targets as queries.
 
-``forward`` takes one example or a list of them. A list runs as one batch:
-each segment is embedded into a zero-padded [B, n, d] block with its
-lengths, each LSTM direction is one packed ``tensor.lstm_sequence`` node
-over the whole batch, attention uses a masked softmax, and pooling a
-masked mean, so an empty context still gives a zero vector. One example
-runs the same maths without the batch axis; ``predict``, attention export
-and the gradient check use it, because at B = 1 it is the cheaper path.
+``forward`` runs a list of examples as one batch: each segment is embedded
+into a zero-padded [B, n, d] block with its lengths, each LSTM direction is
+one packed ``tensor.lstm_sequence`` node over the whole batch, pooling is a
+masked mean, and attention a masked softmax over stacks of row vectors
+[B, 1, h], so an empty context still gives a zero vector. One example runs
+as a batch of one, and its result is squeezed to one example's shapes;
+there is no second code path.
 """
 
 from __future__ import annotations
@@ -180,67 +180,51 @@ def init_params(dims: Dimensions, cfg: VariantConfig,
                        clf_w=clf_w, clf_b=clf_b)
 
 
-def encode_bilstm(embedded: np.ndarray, p: BiLstmParams, d_h: int,
-                  lengths: Optional[np.ndarray] = None) -> Optional[Tensor]:
-    """Encode an [n, d] embedding block into [n, 2*d_h] hidden states, or a
-    zero-padded batch [B, n, d] with ``lengths`` into [B, n, 2*d_h].
+def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
+                  lengths: np.ndarray) -> Optional[Tensor]:
+    """Encode a zero-padded batch [B, n, d], whose sequence j is its first
+    lengths[j] rows, into hidden states [B, n, 2*d_h], zero at padding.
 
     Position i concatenates the forward state after tokens 1..i with the
     backward state after tokens n..i. Returns None when no sequence has a
     token.
     """
-    if embedded.shape[-2] == 0:
+    if embedded.shape[1] == 0:
         return None
     x = Tensor(embedded)
-    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b, lengths=lengths),
-                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, reverse=True,
-                                     lengths=lengths)])
+    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b, lengths),
+                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, lengths, reverse=True)])
 
 
-def _mask(hidden: Tensor, lengths: np.ndarray) -> np.ndarray:
-    return np.arange(hidden.shape[1]) < lengths[:, None]
-
-
-def _mean(hidden: Tensor, lengths: Optional[np.ndarray]) -> Tensor:
-    """Mean over each sequence's rows; a batch row of length 0 gives 0."""
-    if lengths is None:
-        return T.mean_rows(hidden)
-    weights = _mask(hidden, lengths) / np.maximum(lengths, 1)[:, None]
-    return T.einsum("bn,bnh->bh", Tensor(weights), hidden)
-
-
-def pool_target(hidden: Optional[Tensor], lengths: Optional[np.ndarray] = None) -> Tensor:
-    """Average pooling over the target's hidden states."""
-    if hidden is None or hidden.shape[-2] < 1 or lengths is not None and lengths.min() < 1:
+def pool_target(hidden: Optional[Tensor], lengths: np.ndarray) -> Tensor:
+    """Average pooling over each example's target hidden states: [B, 1, h]."""
+    if hidden is None or lengths.min() < 1:
         raise DomainError("pool_target requires at least one hidden state")
-    return _mean(hidden, lengths)
+    return T.mean_rows(hidden, lengths)
 
 
 def attend(hidden: Optional[Tensor], query: Tensor, w: Tensor, b: Tensor,
-           lengths: Optional[np.ndarray] = None) -> tuple[Optional[Tensor], Tensor]:
+           lengths: np.ndarray) -> tuple[Optional[Tensor], Tensor]:
     """Bilinear attention: score_i = tanh(h_i . W . q + b), weights softmax.
 
-    Returns (alpha, r) with r the weighted combination of hidden states.
-    An empty sequence (hidden is None, or a batch row of length 0) yields
-    zero weights and a zero vector, so a missing context degrades
-    gracefully instead of erroring.
+    hidden [B, n, h] holds lengths[j] states of example j, query is [B, 1, q]
+    and w [h, q]. Returns (alpha [B, 1, n], r [B, 1, h]) with r the weighted
+    combination of hidden states. An empty sequence (hidden is None, or a
+    length of 0) yields zero weights and a zero vector, so a missing context
+    degrades gracefully instead of erroring.
     """
     if hidden is None:
-        return None, Tensor(np.zeros(np.shape(lengths) + (w.shape[0],)))
-    if lengths is None:
-        scores = T.tanh(T.add(T.matmul(hidden, T.matmul(w, query)), b))
-        alpha = T.softmax(scores)
-        return alpha, T.matmul(alpha, hidden)
-    scores = T.tanh(T.add(T.einsum("bnh,bh->bn", hidden, T.einsum("bq,hq->bh", query, w)), b))
-    alpha = T.softmax(scores, _mask(hidden, lengths))
-    return alpha, T.einsum("bn,bnh->bh", alpha, hidden)
+        return None, Tensor(np.zeros((len(lengths), 1, w.shape[0])))
+    wq = T.matmul(query, T.transpose(w))
+    scores = T.tanh(T.add(T.matmul(wq, T.transpose(hidden)), b))
+    alpha = T.softmax(scores, np.arange(hidden.data.shape[1]) < lengths[:, None, None])
+    return alpha, T.matmul(alpha, hidden)
 
 
-def _mean_or_zero(hidden: Optional[Tensor], size: int,
-                  lengths: Optional[np.ndarray]) -> Tensor:
+def _mean_or_zero(hidden: Optional[Tensor], size: int, lengths: np.ndarray) -> Tensor:
     if hidden is None:
-        return Tensor(np.zeros(np.shape(lengths) + (size,)))
-    return _mean(hidden, lengths)
+        return Tensor(np.zeros((len(lengths), 1, size)))
+    return T.mean_rows(hidden, lengths)
 
 
 def dropout(v: Tensor, rate: float, mode: str,
@@ -262,11 +246,11 @@ def dropout(v: Tensor, rate: float, mode: str,
 
 def _embed_batch(table: EmbeddingTable, segments) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded [B, n, d] embeddings of token sequences, and their lengths."""
-    lengths = np.array([len(tokens) for tokens in segments])
-    out = np.zeros((len(segments), lengths.max(initial=0), table.dim))
+    lengths = [len(tokens) for tokens in segments]
+    out = np.zeros((len(segments), max(lengths, default=0), table.dim))
     for row, tokens in zip(out, segments):
         row[:len(tokens)] = table.embed_sequence(tokens)
-    return out, lengths
+    return out, np.array(lengths)
 
 
 @dataclass
@@ -275,7 +259,7 @@ class AttentionRecord:
 
     For a batch every array has a leading batch axis, and weights are 0 at
     padding; a weight array is None when its segment is empty in every
-    example.
+    example. For one example the batch axis is squeezed away.
     """
     alpha_l: Optional[np.ndarray]
     alpha_r: Optional[np.ndarray]
@@ -290,7 +274,7 @@ class AttentionRecord:
 
 @dataclass
 class ForwardResult:
-    probs: Tensor            # [n_classes] (or [B, n_classes]), sums to 1
+    probs: Tensor            # [B, n_classes] (or [n_classes]), rows sum to 1
     sentence_vec: Tensor     # v, before the classifier (after dropout in train mode)
     record: AttentionRecord
 
@@ -299,39 +283,34 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
             params: ModelParams, cfg: VariantConfig, mode: str = "eval",
             rng: Optional[np.random.Generator] = None,
             dropout_rate: float = 0.0) -> ForwardResult:
-    """Run one example, or a list of examples as one batch, through the network.
+    """Run a list of examples as one batch through the network; one example
+    runs as a batch of one, with the batch axis squeezed from its result.
 
     In train mode, inverted dropout is applied to the sentence vector
     before the classifier (rng required when dropout_rate > 0).
     """
+    batch = [ex] if isinstance(ex, Example) else ex
     if params.variant is not cfg.variant:
         raise ConfigError(
             f"params built for {params.variant.value}, config asks {cfg.variant.value}")
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-    single = isinstance(ex, Example)
-    if not single and not ex:
+    if not batch:
         raise DomainError("forward of an empty batch")
 
     variant = params.variant
-    dims = params.dims
-    h_size = dims.hidden
+    h_size = params.dims.hidden
     a = params.attention
 
-    def embed(segment):
-        if single:
-            return table.embed_sequence(getattr(ex, segment)), None
-        return _embed_batch(table, [getattr(e, segment) for e in ex])
-
     (left_emb, len_l), (target_emb, len_t), (right_emb, len_r) = (
-        embed(segment) for segment in ("left", "target", "right"))
+        _embed_batch(table, [getattr(e, segment) for e in batch])
+        for segment in ("left", "target", "right"))
 
-    hid_l = encode_bilstm(left_emb, params.left, dims.d_h, len_l)
-    hid_r = encode_bilstm(right_emb, params.right, dims.d_h, len_r)
+    hid_l = encode_bilstm(left_emb, params.left, len_l)
+    hid_r = encode_bilstm(right_emb, params.right, len_r)
     hid_t = None
     if params.center is not None:
-        hid_t = encode_bilstm(target_emb, params.center, dims.d_h, len_t)
+        hid_t = encode_bilstm(target_emb, params.center, len_t)
 
     alpha_l = alpha_r = alpha_tl = alpha_tr = None
     r_tl = r_tr = r_t = None
@@ -349,7 +328,7 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
         alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
         v = T.concat([r_l, r_t, r_r])
     elif variant is Variant.NO_TARGET_LEARNED:
-        r_t = _mean(Tensor(target_emb), len_t)
+        r_t = T.mean_rows(Tensor(target_emb), len_t)
         alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
         alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
         v = T.concat([r_l, r_t, r_r])
@@ -369,19 +348,21 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     else:
         raise ConfigError(f"unknown variant {variant}")
 
+    v = T.index(v, (slice(None), 0))  # [B, 1, v] -> [B, v]
     if mode == "train" and dropout_rate > 0.0:
         v = dropout(v, dropout_rate, mode, rng)
+    probs = T.softmax(T.add(T.matmul(v, T.transpose(params.clf_w)), params.clf_b))
 
-    logits = T.matmul(params.clf_w, v) if single else T.einsum("bv,cv->bc", v, params.clf_w)
-    probs = T.softmax(T.add(logits, params.clf_b))
-
-    def val(t):
-        return None if t is None else np.array(t.data)
+    def rows(t):  # [B, 1, k] -> [B, k]
+        return None if t is None else t.data[:, 0].copy()
 
     record = AttentionRecord(
-        alpha_l=val(alpha_l), alpha_r=val(alpha_r),
-        alpha_tl=val(alpha_tl), alpha_tr=val(alpha_tr),
-        r_l=np.array(r_l.data), r_r=np.array(r_r.data),
-        r_tl=val(r_tl), r_tr=val(r_tr), r_t=val(r_t),
+        alpha_l=rows(alpha_l), alpha_r=rows(alpha_r),
+        alpha_tl=rows(alpha_tl), alpha_tr=rows(alpha_tr),
+        r_l=rows(r_l), r_r=rows(r_r), r_tl=rows(r_tl), r_tr=rows(r_tr), r_t=rows(r_t),
     )
-    return ForwardResult(probs=probs, sentence_vec=v, record=record)
+    if batch is ex:  # a list runs as given
+        return ForwardResult(probs=probs, sentence_vec=v, record=record)
+    return ForwardResult(  # one example: squeeze the batch of one
+        probs=T.index(probs, 0), sentence_vec=T.index(v, 0),
+        record=AttentionRecord(**{k: None if a is None else a[0] for k, a in vars(record).items()}))

@@ -14,15 +14,17 @@ freed before ``backward()`` returns. Leaf gradients stay. A second
 ``backward()`` through a consumed node raises instead of silently doubling
 or dropping gradients.
 
-Batched ops carry the batch on the leading axis: ``lstm_sequence`` runs a
-zero-padded batch of sequences in a packed layout, ``softmax`` takes a
-mask, and ``einsum`` covers the batched products of attention and the
-classifier.
+Every op works on a batch, carried on the leading axis: ``lstm_sequence``
+runs a zero-padded batch of sequences in a packed layout, ``mean_rows`` and
+``softmax`` take the batch's lengths or mask, and ``matmul`` follows
+``np.matmul``, so a stack of row vectors [B, 1, k] goes through the
+products of attention and the classifier; one example is a batch of one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -119,35 +121,48 @@ def _make(data, inputs, backward):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product: 2d@2d, 2d@1d, 1d@2d and 1d@1d (dot)."""
+    """Matrix product under ``np.matmul`` rules: a 1-d operand is promoted to
+    a matrix and the added axis dropped from the result, and stacks of
+    matrices broadcast when one's stack shape ends the other's.
+
+    A right operand of at most two axes, such as a weight shared by a stack,
+    meets every row of the left operand in one product, forward and
+    backward, instead of one product per matrix of the stack.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
+    ad, bd = a.data, b.data
+    if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError(f"matmul needs arrays, got shapes {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    am = ad if ad.ndim > 1 else ad[None]
+    bm = bd if bd.ndim > 1 else bd[:, None]
+    if bm.ndim == 2:
+        am = am.reshape(-1, am.shape[-1])
+    sa, sb = am.shape[:-2], bm.shape[:-2]
+    if am.shape[-1] != bm.shape[-2] or (sa[len(sa) - len(sb):] != sb
+                                        and sb[len(sb) - len(sa):] != sa):
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+    out = am @ bm
 
     def backward(g):
+        g = g.reshape(out.shape)
         if a.requires_grad:
-            if a.data.ndim == 1 and b.data.ndim == 1:
-                a._accumulate(g * b.data)
-            elif b.data.ndim == 1:
-                a._accumulate(np.outer(g, b.data))
-            elif a.data.ndim == 1:
-                a._accumulate(b.data @ g)
-            else:
-                a._accumulate(g @ b.data.T)
+            a._accumulate(_reduce_to(g @ bm.swapaxes(-1, -2), am.shape).reshape(ad.shape))
         if b.requires_grad:
-            if a.data.ndim == 1 and b.data.ndim == 1:
-                b._accumulate(g * a.data)
-            elif b.data.ndim == 1:
-                b._accumulate(a.data.T @ g)
-            elif a.data.ndim == 1:
-                b._accumulate(np.outer(a.data, g))
-            else:
-                b._accumulate(a.data.T @ g)
+            b._accumulate(_reduce_to(am.swapaxes(-1, -2) @ g, bm.shape).reshape(bd.shape))
 
-    return _make(data, (a, b), backward)
+    # the longer stack, then a's rows and b's columns, each unless promoted
+    shape = max(ad.shape[:-2], bd.shape[:-2], key=len) + ad.shape[-2:-1] + bd.shape[1:][-1:]
+    return _make(out.reshape(shape), (a, b), backward)
+
+
+def transpose(a) -> Tensor:
+    """Swap the last two axes."""
+    a = _as_tensor(a)
+
+    def backward(g):
+        a._accumulate(g.swapaxes(-1, -2))
+
+    return _make(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 def _check_binary_shapes(op, a, b):
@@ -256,11 +271,11 @@ def softmax(a, mask=None) -> Tensor:
         e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
         y = e / e.sum(axis=-1, keepdims=True)
     else:
-        top = np.max(a.data, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-        e = np.exp(a.data - np.where(np.isfinite(top), top, 0.0), where=mask,
-                   out=np.zeros(a.data.shape))
-        total = e.sum(axis=-1, keepdims=True)
-        y = e / np.where(total > 0.0, total, 1.0)
+        # masked entries become -inf, so exp gives them 0; a row with nothing
+        # left gets a finite maximum instead of -inf, and a sum of 1
+        z = np.where(mask, a.data, -np.inf)
+        e = np.exp(z - z.max(axis=-1, keepdims=True, initial=np.finfo(np.float64).min))
+        y = e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
 
     def backward(g):
         a._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
@@ -280,14 +295,18 @@ def tmean(a) -> Tensor:
     return _make(a.data.mean(), (a,), backward)
 
 
-def sumsq(a) -> Tensor:
-    """Sum of squared entries (the L2 regularizer building block)."""
-    a = _as_tensor(a)
+def sumsq(*tensors) -> Tensor:
+    """Sum of the squared entries of every operand, added operand by operand
+    in order: the L2 penalty as one node."""
+    tensors = [_as_tensor(t) for t in tensors]
+    total = sum((t.data * t.data).sum() for t in tensors)
 
     def backward(g):
-        a._accumulate(2.0 * g * a.data)
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(2.0 * g * t.data)
 
-    return _make((a.data * a.data).sum(), (a,), backward)
+    return _make(total, tensors, backward)
 
 
 def index(a, key) -> Tensor:
@@ -301,23 +320,6 @@ def index(a, key) -> Tensor:
         a._accumulate(grad)
 
     return _make(a.data[key], (a,), backward)
-
-
-def einsum(spec: str, a, b) -> Tensor:
-    """Two-operand ``np.einsum``, e.g. ``"bnh,bh->bn"`` for a batch of
-    matrix-vector products. Every index of an operand must appear in the
-    other operand or in the output."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    inputs, out = spec.split("->")
-    sa, sb = inputs.split(",")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.einsum(f"{out},{sb}->{sa}", g, b.data, optimize=True))
-        if b.requires_grad:
-            b._accumulate(np.einsum(f"{sa},{out}->{sb}", a.data, g, optimize=True))
-
-    return _make(np.einsum(spec, a.data, b.data, optimize=True), (a, b), backward)
 
 
 def concat(parts) -> Tensor:
@@ -350,74 +352,86 @@ def stack(parts) -> Tensor:
     return _make(np.stack([p.data for p in parts]), tuple(parts), backward)
 
 
-def mean_rows(a) -> Tensor:
-    """Mean over axis 0 of a 2-d tensor: the average-pooling primitive."""
+def _batch_lengths(x: Tensor, lengths, op: str) -> np.ndarray:
+    """``lengths`` as an array, checked against the zero-padded batch x [B, n, k]."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    values = lengths.tolist()
+    if x.data.ndim != 3 or lengths.shape != x.data.shape[:1] \
+            or not 0 <= min(values, default=0) <= max(values, default=0) <= x.data.shape[1]:
+        raise ShapeError(f"{op}: a batch of shape {x.shape} with lengths {values}")
+    return lengths
+
+
+def mean_rows(a, lengths) -> Tensor:
+    """Mean of each batch element's rows: element j of a [B, n, k] holds its
+    first lengths[j] rows, and the result [B, 1, k] is 0 where it holds none.
+
+    The rows are summed in order and the sum divided by the length, which is
+    what ``np.mean(axis=0)`` of the element's rows computes.
+    """
     a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise DomainError(f"mean_rows requires a non-empty 2-d tensor, got shape {a.shape}")
-    n = a.data.shape[0]
+    lengths = _batch_lengths(a, lengths, "mean_rows")
+    keep = np.arange(a.data.shape[1])[:, None] < lengths[:, None, None]
+    n = np.maximum(lengths, 1)[:, None, None]
 
     def backward(g):
-        a._accumulate(np.tile(g / n, (n, 1)))
+        a._accumulate(keep * (g / n))
 
-    return _make(a.data.mean(axis=0), (a,), backward)
+    return _make((a.data * keep).sum(axis=1, keepdims=True) / n, (a,), backward)
 
 
-def _packing(lengths: np.ndarray, reverse: bool):
-    """Packed order of a batch of sequences: step by step, the sequences
-    still running, longest first, so that they are a prefix of the sorted
-    batch. Returns the sequences running at each step and the
-    (sequence, position) of every packed row."""
+@functools.lru_cache(maxsize=128)
+def _packing(key: bytes):
+    """Packed order of a batch of sequences with lengths ``key`` (intp
+    bytes): step by step, the sequences still running, longest first, so
+    that they are a prefix of the sorted batch.
+
+    Returns the first packed row of every step (and the row count at the
+    end), then for every packed row its sequence, its step (the position it
+    holds when read forward), its rank in the sorted batch and the position
+    it holds when read in reverse. Both directions of an encoder share one
+    packing; the arrays are read-only.
+    """
+    lengths = np.frombuffer(key, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(lengths.max(initial=0))
-    sizes = np.count_nonzero(lengths[order][None, :] > steps[:, None], axis=1)
-    starts = np.cumsum(sizes) - sizes
-    rows = np.arange(sizes.sum())
-    seq = order[rows - np.repeat(starts, sizes)]
-    pos = np.repeat(steps, sizes)
-    return sizes, seq, lengths[seq] - 1 - pos if reverse else pos
+    steps = np.arange(max(lengths.tolist(), default=0) + 1)
+    step, rank = np.nonzero(steps[:-1, None] < lengths[order])  # step by step, longest first
+    seq = order[rank]
+    reverse_pos = lengths[seq] - 1 - step
+    for arr in (seq, reverse_pos, step, rank):
+        arr.setflags(write=False)
+    return tuple(np.searchsorted(step, steps).tolist()), seq, step, rank, reverse_pos
 
 
-def lstm_sequence(x, w, u, b, reverse: bool = False, lengths=None) -> Tensor:
+def lstm_sequence(x, w, u, b, lengths, reverse: bool = False) -> Tensor:
     """One LSTM direction from a zero state, as one node.
 
-    x is one sequence [n, d], or with ``lengths`` a zero-padded batch
-    [B, n, d] whose sequence j is its first lengths[j] rows. w [4d_h, d],
-    u [4d_h, d_h] and b [4d_h] stack the gates as input, forget, output,
-    candidate. Returns h [n, d_h] (or [B, n, d_h], zero at padding); with
-    ``reverse`` each sequence is read from its last row, and row i is still
-    the state after reading row i.
+    x is a zero-padded batch [B, n, d] whose sequence j is its first
+    lengths[j] rows. w [4d_h, d], u [4d_h, d_h] and b [4d_h] stack the gates
+    as input, forget, output, candidate. Returns h [B, n, d_h], zero at
+    padding; with ``reverse`` each sequence is read from its last row, and
+    row i is still the state after reading row i.
 
     The rows run packed (``_packing``): the k_t sequences still running at
     step t are a prefix of the packed rows of step t - 1, so a step is one
     [k_t, d_h]·[d_h, 4d_h] product, the weight gradients are one product
     over every real row each, and padding is never computed or stored.
     """
-    x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
-    d_h = u.shape[-1]
-    single = lengths is None
-    if not single:
-        lengths = np.asarray(lengths)
-    if x.data.ndim != (2 if single else 3) or w.shape != (4 * d_h, x.shape[-1]) \
-            or u.shape != (4 * d_h, d_h) or b.shape != (4 * d_h,) or not single and (
-                lengths.shape != x.shape[:1] or lengths.max(initial=0) > x.shape[1]):
-        raise ShapeError(f"lstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}, "
-                         f"lengths {None if single else lengths.tolist()}")
-    if single:  # one sequence: the packed rows are its rows, read from the end if reverse
-        starts = list(range(x.shape[0] + 1))
-        pack = unpack = (lambda a: a[::-1]) if reverse else (lambda a: a)
-    else:
-        sizes, seq, pos = _packing(lengths, reverse)
+    x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
+    lengths = _batch_lengths(x, lengths, "lstm_sequence")
+    d_h = u.data.shape[-1]
+    if w.data.shape != (4 * d_h, x.data.shape[-1]) or u.data.shape != (4 * d_h, d_h) \
+            or b.data.shape != (4 * d_h,):
+        raise ShapeError(f"lstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
+    starts, seq, step, rank, reverse_pos = _packing(lengths.tobytes())
+    pos = reverse_pos if reverse else step
 
-        def pack(a):
-            return a[seq, pos]
+    def unpack(rows):
+        out = np.zeros(x.data.shape[:2] + rows.shape[1:])
+        out[seq, pos] = rows
+        return out
 
-        def unpack(rows):
-            out = np.zeros(x.shape[:2] + rows.shape[1:])
-            out[seq, pos] = rows
-            return out
-        starts = [0] + np.cumsum(sizes).tolist()
-    xs = pack(x.data)
+    xs = x.data[seq, pos]
     # The input projection of every row in one GEMM. Each step adds u·h to its
     # rows and turns them into the gate values in place: i, f, o after the
     # sigmoid, g after tanh.
@@ -443,7 +457,7 @@ def lstm_sequence(x, w, u, b, reverse: bool = False, lengths=None) -> Tensor:
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        dh_out, tanh_c = pack(grad), np.tanh(cells)
+        dh_out, tanh_c = grad[seq, pos], np.tanh(cells)
         dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
         dz *= gates
         dz[:, 3 * d_h:] = 1.0 - gates[:, 3 * d_h:] ** 2
@@ -463,13 +477,12 @@ def lstm_sequence(x, w, u, b, reverse: bool = False, lengths=None) -> Tensor:
             if t:
                 dc_next, dh_next = dc * f, dz[lo:hi] @ u.data
         if w.requires_grad:
-            w._accumulate(dz.T @ pack(x.data))
+            w._accumulate(dz.T @ x.data[seq, pos])
         if u.requires_grad:
-            # the state each row after step 0 read: k_{t-1} rows back
-            sizes = np.diff(starts)
-            first = sizes[:1].sum()
-            rows = np.arange(first, len(dz)) - np.repeat(sizes[:-1], sizes[1:])
-            u._accumulate(dz[first:].T @ pack(out)[rows])
+            # the state each row after step 0 read: its sequence's row of the step before
+            first = starts[1] if len(starts) > 1 else 0
+            prev = np.asarray(starts)[step[first:] - 1] + rank[first:]
+            u._accumulate(dz[first:].T @ out[seq[prev], pos[prev]])
         if b.requires_grad:
             b._accumulate(dz.sum(axis=0))
         if x.requires_grad:

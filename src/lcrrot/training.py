@@ -3,14 +3,14 @@
 Loss per instance is cross entropy against the one-hot label plus an L2
 penalty over the full trainable parameter set (embeddings excluded; the
 penalty covers biases by default, with a flag for the conventional
-weights-only variant). Batch loss is the mean cross entropy over the
-batch plus the penalty added once.
+weights-only variant), one ``tensor.sumsq`` node. Batch loss is the mean
+cross entropy over the batch plus the penalty added once.
 
-Each mini-batch runs as one batched forward (``model.forward`` on the list
-of examples) and one backward, which consumes the graph. Dropout draws one
-[B, v] mask per batch, the same numbers as one draw per example. Accuracy
-passes use ``evalreport.predict_all``, which runs chunks of examples
-through the batched path without recording a graph.
+Each mini-batch runs as one forward (``model.forward`` on the list of
+examples) and one backward, which consumes the graph; one example is a
+batch of one. Dropout draws one [B, v] mask per batch, the same numbers as
+one draw per example. Accuracy passes use ``evalreport.predict_all``, which
+runs chunks of examples without recording a graph.
 
 Checkpoint format 3: one JSON line holding ``format_version``, ``variant``,
 ``hyperparams``, ``dims`` and the parameter names (``params``, in
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -55,10 +56,10 @@ class Hyperparams:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.learning_rate > 0:
-            raise ConfigError("learning rate must be positive")
-        if not self.l2_weight >= 0:
-            raise ConfigError("L2 weight must not be negative")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning rate must be positive and finite")
+        if not 0 <= self.l2_weight < math.inf:
+            raise ConfigError("L2 weight must be finite and not negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -87,12 +88,8 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 
 def l2_penalty(params: ModelParams, lam: float,
                include_biases: bool = True) -> Tensor:
-    total = Tensor(0.0)
-    for name, t in params.named():
-        if not include_biases and (".b_" in name or name.endswith(".b")):
-            continue
-        total = T.add(total, T.sumsq(t))
-    return T.scale(total, lam)
+    return T.scale(T.sumsq(*(t for name, t in params.named() if include_biases
+                             or not (".b_" in name or name.endswith(".b")))), lam)
 
 
 def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float,
@@ -156,6 +153,8 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
     """
     if not examples:
         raise DomainError("training on an empty corpus")
+    if dev_examples is not None and not dev_examples:
+        raise DomainError("the dev corpus is empty")
     rng = np.random.Generator(np.random.PCG64(hp.seed))
     params = init_params(dims, cfg, rng)
     state = OptimizerState(params)

@@ -18,6 +18,7 @@ from lcrrot.evalreport import majority_baseline, paired_t_test
 from lcrrot.gradcheck import max_gradient_error, tiny_setup
 from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           encode_bilstm, forward, init_params, pool_target)
+from lcrrot.tensor import Tensor
 from lcrrot.training import Hyperparams, train
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def report(criterion, text):
     print(f"\nPASS criterion {criterion}: {text}")
+
+
+def encode_one(table, tokens, p):
+    """Bi-LSTM states [n, 2*d_h] of one token sequence, run as a batch of one."""
+    return encode_bilstm(table.embed_sequence(tokens)[None], p, np.array([len(tokens)])).data[0]
 
 
 # -- criterion 1: gradient fidelity ------------------------------------------
@@ -82,16 +88,16 @@ def test_criterion_3_singleton_identity():
     table = EmbeddingTable(dim=4, seed=31)
 
     ex = Example(left=("a", "b"), target=("t",), right=("c", "d"), label="neutral")
-    hid_t = encode_bilstm(table.embed_sequence(ex.target), params.center, dims.d_h)
+    hid_t = encode_one(table, ex.target, params.center)
     rec = forward(ex, table, params, cfg).record
-    assert rec.r_tl.tolist() == hid_t.data[0].tolist()
-    assert rec.r_tr.tolist() == hid_t.data[0].tolist()
+    assert rec.r_tl.tolist() == hid_t[0].tolist()
+    assert rec.r_tr.tolist() == hid_t[0].tolist()
 
     ex2 = Example(left=("a",), target=("t", "u"), right=("c",), label="neutral")
-    hid_l = encode_bilstm(table.embed_sequence(ex2.left), params.left, dims.d_h)
+    hid_l = encode_one(table, ex2.left, params.left)
     rec2 = forward(ex2, table, params, cfg).record
     assert rec2.alpha_l.tolist() == [1.0]
-    assert rec2.r_l.tolist() == hid_l.data[0].tolist()
+    assert rec2.r_l.tolist() == hid_l[0].tolist()
     report(3, "M=1 gives r_tl = r_tr = h_1 and L=1 gives alpha=[1.0], "
               "r_l = h_1, all bit-exact")
 
@@ -106,17 +112,17 @@ def test_criterion_4_variant_equivalences():
 
     cfg = VariantConfig(variant=Variant.NO_ATTENTION)
     params = init_params(dims, cfg, np.random.Generator(np.random.PCG64(41)))
-    hid_l = encode_bilstm(table.embed_sequence(ex.left), params.left, dims.d_h)
+    hid_l = encode_one(table, ex.left, params.left)
     rec = forward(ex, table, params, cfg).record
-    assert rec.r_l.tolist() == hid_l.data.mean(axis=0).tolist()
+    assert rec.r_l.tolist() == hid_l.mean(axis=0).tolist()
 
     cfg2 = VariantConfig(variant=Variant.NO_TARGET_ATTENTION)
     params2 = init_params(dims, cfg2, np.random.Generator(np.random.PCG64(42)))
-    hid_t = encode_bilstm(table.embed_sequence(ex.target), params2.center, dims.d_h)
+    hid_t = encode_one(table, ex.target, params2.center)
     res2 = forward(ex, table, params2, cfg2)
     h = dims.hidden
     assert res2.sentence_vec.data[h:2 * h].tolist() == \
-        pool_target(hid_t).data.tolist()
+        pool_target(Tensor(hid_t[None]), np.array([len(ex.target)])).data[0, 0].tolist()
     report(4, "no_attention r_l is the exact mean of hidden states; "
               "no_target_attention target slot equals pooled target exactly")
 

@@ -107,6 +107,70 @@ def test_zero_size_is_data_error(corpus_file, tmp_path, capsys, flag):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("how", ["flag", "config_file"])
+def test_infinite_hyperparameter_is_data_error(corpus_file, tmp_path, capsys, how):
+    args = base_train_args(corpus_file, tmp_path)
+    if how == "flag":
+        args[args.index("--lr") + 1] = "inf"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l2 = inf\n")
+        args += ["--config", str(cfg)]
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_vector_row_is_data_error(corpus_file, tmp_path, capsys, value):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"good 0.1 0.2 0.3 0.4 0.5 0.6\nbattery {value} 0 0 0 0 0\n")
+    assert run(base_train_args(corpus_file, tmp_path, extra=["--embeddings", str(vectors)])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2:")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate", "train_dev"])
+def test_empty_corpus_is_data_error(corpus_file, tmp_path, capsys, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    ckpt = tmp_path / "model.ckpt"
+    small = ["--dim", "4", "--hidden", "2", "--epochs", "1", "--seed", "3"]
+    if command == "eval":
+        assert run(base_train_args(corpus_file, tmp_path)) == 0
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--test-corpus", str(empty)]
+    elif command == "ablate":
+        argv = ["ablate", "--train-corpus", str(corpus_file), "--test-corpus", str(empty), *small]
+    else:
+        argv = base_train_args(corpus_file, tmp_path, extra=["--dev-corpus", str(empty)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "empty" in err[0]
+    assert ckpt.exists() == (command == "eval")
+
+
+@pytest.mark.parametrize("damage", ["not_utf8", "directory"])
+@pytest.mark.parametrize("flag", ["--train-corpus", "--config", "--embeddings"])
+def test_unreadable_input_file_is_data_error(corpus_file, tmp_path, capsys, flag, damage):
+    bad = tmp_path / "bad"
+    if damage == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe" + CORPUS.encode("utf-8"))
+    args = base_train_args(corpus_file, tmp_path)
+    if flag == "--train-corpus":
+        args[args.index(flag) + 1] = str(bad)
+    else:
+        args += [flag, str(bad)]
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):
     args = base_train_args(corpus_file, tmp_path)
     args[args.index("--seed") + 1] = "-1"

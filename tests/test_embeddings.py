@@ -28,6 +28,12 @@ def test_unparsable_number():
         load_pretrained(io.StringIO("the 0.1 oops 0.3\n"), dim=3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+def test_non_finite_value_names_line(value):
+    with pytest.raises(FormatError, match="line 2"):
+        load_pretrained(io.StringIO(f"the 0.1 0.2\nfood {value} 0\n"), dim=2)
+
+
 def test_duplicate_tokens_keep_first():
     table = load_pretrained(io.StringIO("a 1 2\na 3 4\n"), dim=2)
     np.testing.assert_array_equal(table.lookup("a"), [1.0, 2.0])

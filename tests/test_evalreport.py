@@ -57,6 +57,11 @@ class TestPredict:
         correct = sum(1 for p, g in zip(result.predicted, result.gold) if p == g)
         assert result.accuracy == correct / 15
 
+    def test_evaluate_rejects_an_empty_corpus(self):
+        table, params, cfg = make_setup(seed=2)
+        with pytest.raises(DomainError):
+            evalreport.evaluate([], table, params, cfg)
+
 
 def class_corpus(neg, neu, pos):
     out = []

@@ -55,7 +55,12 @@ def lstm_step_oracle(x, h, c, p):
 
 
 def run_lstm(xs, p):
-    return T.lstm_sequence(Tensor(xs), p.w, p.u, p.b).data
+    return T.lstm_sequence(Tensor(xs[None]), p.w, p.u, p.b, [len(xs)]).data[0]
+
+
+def encode_one(x, bp):
+    """encode_bilstm of one [n, d] sequence, run as a batch of one: [n, 2*d_h]."""
+    return encode_bilstm(x[None], bp, np.array([len(x)])).data[0]
 
 
 class TestLstmStep:
@@ -87,23 +92,23 @@ class TestEncodeBilstm:
         g = rng(3)
         bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
         x = g.uniform(-1, 1, (1, 3))
-        out = encode_bilstm(x, bp, 2)
+        out = encode_one(x, bp)
         fh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.fwd)
         bh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.bwd)
-        np.testing.assert_allclose(out.data[0], np.concatenate([fh, bh]), atol=1e-12)
+        np.testing.assert_allclose(out[0], np.concatenate([fh, bh]), atol=1e-12)
 
     def test_empty_sequence(self):
         g = rng(3)
         bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
-        assert encode_bilstm(np.zeros((0, 3)), bp, 2) is None
+        assert encode_bilstm(np.zeros((1, 0, 3)), bp, np.array([0])) is None
 
     def test_reversal_swaps_directions(self):
         g = rng(4)
         p = random_lstm(3, 2, g)
         bp = M.BiLstmParams(fwd=p, bwd=p)  # shared weights make the symmetry exact
         x = g.uniform(-1, 1, (4, 3))
-        fwd_out = encode_bilstm(x, bp, 2).data
-        rev_out = encode_bilstm(x[::-1].copy(), bp, 2).data
+        fwd_out = encode_one(x, bp)
+        rev_out = encode_one(x[::-1].copy(), bp)
         for i in range(4):
             np.testing.assert_allclose(fwd_out[i, :2], rev_out[3 - i, 2:], atol=1e-12)
             np.testing.assert_allclose(fwd_out[i, 2:], rev_out[3 - i, :2], atol=1e-12)
@@ -112,7 +117,7 @@ class TestEncodeBilstm:
         g = rng(5)
         bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
         x = g.uniform(-1, 1, (3, 3))
-        out = encode_bilstm(x, bp, 2).data
+        out = encode_one(x, bp)
         # independent scalar-loop passes
         h, c = np.zeros(2), np.zeros(2)
         fwd = []
@@ -146,14 +151,19 @@ def test_init_params_stack_per_gate_draws():
         g.uniform(-0.1, 0.1, (h, h)).tobytes()
 
 
+def pool_one(states):
+    """pool_target of one [n, h] block of states, run as a batch of one: [h]."""
+    return pool_target(Tensor(states[None]), np.array([len(states)])).data[0, 0]
+
+
 class TestPoolTarget:
     def test_single_state_identity(self):
         x = rng().uniform(-1, 1, 4)
-        np.testing.assert_array_equal(pool_target(Tensor(x[None, :])).data, x)
+        np.testing.assert_array_equal(pool_one(x[None, :]), x)
 
     def test_identical_states(self):
         x = rng(1).uniform(-1, 1, 4)
-        pooled = pool_target(Tensor(np.stack([x, x]))).data
+        pooled = pool_one(np.stack([x, x]))
         np.testing.assert_allclose(pooled, x, atol=1e-15)
 
     def test_matches_accumulate_and_divide(self):
@@ -161,30 +171,35 @@ class TestPoolTarget:
         acc = np.zeros(6)
         for s in states:
             acc += s
-        np.testing.assert_allclose(pool_target(Tensor(states)).data, acc / 4,
-                                   atol=1e-12)
+        np.testing.assert_allclose(pool_one(states), acc / 4, atol=1e-12)
 
     def test_empty_target(self):
         with pytest.raises(DomainError):
-            pool_target(None)
+            pool_target(None, np.array([0]))
+
+
+def attend_one(h, q, w, b):
+    """attend over one [n, h] block with one query, run as a batch of one:
+    (alpha [n], r [h])."""
+    alpha, r = attend(Tensor(h[None]), Tensor(q[None, None]), Tensor(w), Tensor(b),
+                      np.array([len(h)]))
+    return alpha.data[0, 0], r.data[0, 0]
 
 
 class TestAttend:
     def test_singleton(self):
         g = rng(6)
         h = g.uniform(-1, 1, (1, 4))
-        alpha, r = attend(Tensor(h), Tensor(g.uniform(-1, 1, 4)),
-                          Tensor(g.uniform(-1, 1, (4, 4))), Tensor(0.3))
-        assert alpha.data.tolist() == [1.0]
-        np.testing.assert_array_equal(r.data, h[0])
+        alpha, r = attend_one(h, g.uniform(-1, 1, 4), g.uniform(-1, 1, (4, 4)), 0.3)
+        assert alpha.tolist() == [1.0]
+        np.testing.assert_array_equal(r, h[0])
 
     def test_identical_states_give_uniform_weights(self):
         g = rng(7)
         row = g.uniform(-1, 1, 4)
         h = np.stack([row] * 3)
-        alpha, _ = attend(Tensor(h), Tensor(g.uniform(-1, 1, 4)),
-                          Tensor(g.uniform(-1, 1, (4, 4))), Tensor(0.0))
-        np.testing.assert_allclose(alpha.data, np.full(3, 1 / 3), atol=1e-12)
+        alpha, _ = attend_one(h, g.uniform(-1, 1, 4), g.uniform(-1, 1, (4, 4)), 0.0)
+        np.testing.assert_allclose(alpha, np.full(3, 1 / 3), atol=1e-12)
 
     def test_hand_case_matches_direct_formula(self):
         import mpmath
@@ -207,15 +222,15 @@ class TestAttend:
             r_expected = [
                 float(sum(exps[i] / total * mpmath.mpf(h[i, j]) for i in range(2)))
                 for j in range(2)]
-        alpha, r = attend(Tensor(h), Tensor(q), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(alpha.data, alpha_expected, atol=1e-12)
-        np.testing.assert_allclose(r.data, r_expected, atol=1e-12)
+        alpha, r = attend_one(h, q, w, b)
+        np.testing.assert_allclose(alpha, alpha_expected, atol=1e-12)
+        np.testing.assert_allclose(r, r_expected, atol=1e-12)
 
     def test_empty_sequence_yields_zero_vector(self):
-        alpha, r = attend(None, Tensor(np.zeros(4)),
-                          Tensor(np.zeros((4, 4))), Tensor(0.0))
+        alpha, r = attend(None, Tensor(np.zeros((1, 1, 4))),
+                          Tensor(np.zeros((4, 4))), Tensor(0.0), np.array([0]))
         assert alpha is None
-        np.testing.assert_array_equal(r.data, np.zeros(4))
+        np.testing.assert_array_equal(r.data, np.zeros((1, 1, 4)))
 
 
 def make_example(left_len=3, target_len=2, right_len=2, label="positive"):
@@ -251,38 +266,34 @@ class TestForward:
     def test_single_word_target_bit_exact(self):
         table, params, cfg = make_setup(Variant.LCR_ROT, seed=3)
         ex = make_example(target_len=1)
-        target_emb = table.embed_sequence(ex.target)
-        hid = encode_bilstm(target_emb, params.center, params.dims.d_h)
+        hid = encode_one(table.embed_sequence(ex.target), params.center)
         res = forward(ex, table, params, cfg)
-        assert res.record.r_tl.tolist() == hid.data[0].tolist()
-        assert res.record.r_tr.tolist() == hid.data[0].tolist()
+        assert res.record.r_tl.tolist() == hid[0].tolist()
+        assert res.record.r_tr.tolist() == hid[0].tolist()
 
     def test_single_word_left_context_bit_exact(self):
         table, params, cfg = make_setup(Variant.LCR_ROT, seed=4)
         ex = make_example(left_len=1)
-        hid = encode_bilstm(table.embed_sequence(ex.left), params.left,
-                            params.dims.d_h)
+        hid = encode_one(table.embed_sequence(ex.left), params.left)
         res = forward(ex, table, params, cfg)
         assert res.record.alpha_l.tolist() == [1.0]
-        assert res.record.r_l.tolist() == hid.data[0].tolist()
+        assert res.record.r_l.tolist() == hid[0].tolist()
 
     def test_no_attention_uses_exact_means(self):
         table, params, cfg = make_setup(Variant.NO_ATTENTION, seed=5)
         ex = make_example()
-        hid_l = encode_bilstm(table.embed_sequence(ex.left), params.left,
-                              params.dims.d_h)
+        hid_l = encode_one(table.embed_sequence(ex.left), params.left)
         res = forward(ex, table, params, cfg)
-        assert res.record.r_l.tolist() == hid_l.data.mean(axis=0).tolist()
+        assert res.record.r_l.tolist() == hid_l.mean(axis=0).tolist()
 
     def test_no_target_attention_component_equals_pooled_target(self):
         table, params, cfg = make_setup(Variant.NO_TARGET_ATTENTION, seed=6)
         ex = make_example()
-        hid_t = encode_bilstm(table.embed_sequence(ex.target), params.center,
-                              params.dims.d_h)
+        hid_t = encode_one(table.embed_sequence(ex.target), params.center)
         res = forward(ex, table, params, cfg)
         h = params.dims.hidden
         target_part = res.sentence_vec.data[h:2 * h]
-        assert target_part.tolist() == pool_target(hid_t).data.tolist()
+        assert target_part.tolist() == pool_one(hid_t).tolist()
 
     def test_empty_left_context(self):
         table, params, cfg = make_setup(Variant.LCR_ROT, seed=7)
@@ -339,48 +350,73 @@ class TestForward:
         for name, t in params.named():
             assert t.grad is not None and np.any(t.grad != 0), name
 
-    def test_full_forward_matches_step_by_step_oracle(self):
-        table, params, cfg = make_setup(Variant.LCR_ROT, seed=11, d=3, d_h=2)
-        ex = make_example(left_len=2, target_len=2, right_len=2)
+    @pytest.mark.parametrize("lengths", [(2, 2, 2), (0, 3, 0)], ids=["contexts", "no_contexts"])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_full_forward_matches_step_by_step_oracle(self, variant, lengths):
+        table, params, cfg = make_setup(variant, seed=11, d=3, d_h=2)
+        g = rng(11)
+        for _, t in params.named():  # nonzero biases, so the oracle sees every one
+            if t.data.ndim < 2:
+                t.data = g.uniform(-0.5, 0.5, t.data.shape)
+        ex = make_example(*lengths)
         res = forward(ex, table, params, cfg)
 
-        # independent evaluation: scalar-loop LSTMs, direct attention formulas
+        # independent evaluation: scalar-loop LSTMs, direct attention formulas;
+        # an empty context gives zero weights and a zero vector
+        d_h = params.dims.d_h
+
         def encode(tokens, bp):
             x = table.embed_sequence(tokens)
             n = len(tokens)
-            h, c = np.zeros(2), np.zeros(2)
+            h, c = np.zeros(d_h), np.zeros(d_h)
             fwd = []
             for i in range(n):
                 h, c = lstm_step_oracle(x[i], h, c, bp.fwd)
                 fwd.append(h)
-            h, c = np.zeros(2), np.zeros(2)
+            h, c = np.zeros(d_h), np.zeros(d_h)
             bwd = [None] * n
             for i in reversed(range(n)):
                 h, c = lstm_step_oracle(x[i], h, c, bp.bwd)
                 bwd[i] = h
-            return np.stack([np.concatenate([f, b]) for f, b in zip(fwd, bwd)])
+            return np.array([np.concatenate([f, b]) for f, b in zip(fwd, bwd)]).reshape(n, 2 * d_h)
 
         def attn(hs, q, w, b):
+            if len(hs) == 0:
+                return np.zeros(w.shape[0])
             scores = np.array([math.tanh(hs[i] @ w @ q + b)
                                for i in range(hs.shape[0])])
             e = np.exp(scores - scores.max())
             alpha = e / e.sum()
-            return alpha, alpha @ hs
+            return alpha @ hs
 
-        hl = encode(ex.left, params.left)
-        ht = encode(ex.target, params.center)
-        hr = encode(ex.right, params.right)
+        def mean(hs):
+            return hs.mean(axis=0) if len(hs) else np.zeros(hs.shape[1])
+
         a = {k: v.data for k, v in params.attention.items()}
-        r_t = ht.mean(axis=0)
-        _, r_l = attn(hl, r_t, a["w_cl"], a["b_cl"])
-        _, r_r = attn(hr, r_t, a["w_cr"], a["b_cr"])
-        _, r_tl = attn(ht, r_l, a["w_tl"], a["b_tl"])
-        _, r_tr = attn(ht, r_r, a["w_tr"], a["b_tr"])
-        v = np.concatenate([r_l, r_tl, r_tr, r_r])
-        z = params.clf_w.data @ v + params.clf_b.data
+        hl = encode(ex.left, params.left)
+        hr = encode(ex.right, params.right)
+        if variant is Variant.NO_TARGET_LEARNED:
+            r_t = table.embed_sequence(ex.target).mean(axis=0)
+        else:
+            ht = encode(ex.target, params.center)
+            r_t = ht.mean(axis=0)
+        if variant is Variant.LCR_ROT:
+            r_l = attn(hl, r_t, a["w_cl"], a["b_cl"])
+            r_r = attn(hr, r_t, a["w_cr"], a["b_cr"])
+            v = [r_l, attn(ht, r_l, a["w_tl"], a["b_tl"]), attn(ht, r_r, a["w_tr"], a["b_tr"]), r_r]
+        elif variant in (Variant.NO_TARGET_ATTENTION, Variant.NO_TARGET_LEARNED):
+            v = [attn(hl, r_t, a["w_cl"], a["b_cl"]), r_t, attn(hr, r_t, a["w_cr"], a["b_cr"])]
+        elif variant is Variant.NO_ATTENTION:
+            v = [mean(hl), r_t, mean(hr)]
+        else:
+            r_tl = attn(ht, mean(hl), a["w_tl"], a["b_tl"])
+            r_tr = attn(ht, mean(hr), a["w_tr"], a["b_tr"])
+            v = [attn(hl, r_tl, a["w_cl"], a["b_cl"]), r_tl, r_tr,
+                 attn(hr, r_tr, a["w_cr"], a["b_cr"])]
+        z = params.clf_w.data @ np.concatenate(v) + params.clf_b.data
         e = np.exp(z - z.max())
         expected = e / e.sum()
-        np.testing.assert_allclose(res.probs.data, expected, atol=1e-12)
+        np.testing.assert_allclose(res.probs.data, expected, rtol=0, atol=1e-12)
 
 
 # (left, target, right) lengths per example of a batch

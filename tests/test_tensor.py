@@ -47,6 +47,18 @@ class TestMatmul:
         np.testing.assert_allclose(T.matmul(Tensor(u), Tensor(m)).data, u @ m)
         np.testing.assert_allclose(T.matmul(Tensor(v), Tensor(v)).data, v @ v)
 
+    @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3,), (3, 4)), ((4,), (4,)),
+                                        ((4,), (2, 4, 3)), ((2, 3), (5, 3, 2))],
+                             ids=["matrix_vector", "vector_matrix", "dot", "vector_stack",
+                                  "matrix_stack"])
+    def test_promoted_and_broadcast_gradients(self, shapes):
+        # a 1-d operand is promoted to a matrix; an operand without a stack
+        # is shared by every matrix of the other's stack
+        g = rng(3)
+        a, b = (Tensor(g.uniform(-1, 1, shape), requires_grad=True) for shape in shapes)
+        np.testing.assert_array_equal(T.matmul(a, b).data, np.matmul(a.data, b.data))
+        _fd_check(lambda: T.tmean(T.tanh(T.matmul(a, b))), [a, b])
+
 
 class TestEltwise:
     def test_zero_cases(self):
@@ -136,7 +148,7 @@ class TestSoftmax:
 class TestReduce:
     def test_mean_single_vector(self):
         x = rng().uniform(-1, 1, 4)
-        np.testing.assert_array_equal(T.mean_rows(Tensor(x[None, :])).data, x)
+        np.testing.assert_array_equal(T.mean_rows(Tensor(x[None, None, :]), [1]).data[0, 0], x)
 
     def test_concat_lengths_and_order(self):
         parts = [rng(s).uniform(-1, 1, n) for s, n in enumerate((2, 3, 1, 4))]
@@ -152,7 +164,32 @@ class TestReduce:
         acc = np.zeros(4)
         for v in vecs:
             acc += v
-        np.testing.assert_allclose(T.mean_rows(Tensor(vecs)).data, acc / 6, atol=1e-12)
+        np.testing.assert_allclose(T.mean_rows(Tensor(vecs[None]), [6]).data[0, 0], acc / 6,
+                                   atol=1e-12)
+
+    def test_masked_mean_of_a_ragged_batch(self):
+        lengths = [3, 0, 5, 1]
+        a = Tensor(rng(6).uniform(-1, 1, (4, 6, 3)), requires_grad=True)
+        out = T.mean_rows(a, lengths).data
+        assert out.shape == (4, 1, 3)
+        for j, n in enumerate(lengths):
+            # the rows in order, then one division: what np.mean computes
+            expected = a.data[j, :n].mean(axis=0) if n else np.zeros(3)
+            assert out[j, 0].tolist() == expected.tolist()
+        _fd_check(lambda: T.tmean(T.tanh(T.mean_rows(a, lengths))), [a])
+        T.tmean(T.mean_rows(a, lengths)).backward()
+        assert not a.grad[1].any() and not a.grad[0, 3:].any()
+        with pytest.raises(ShapeError):
+            T.mean_rows(a, [3, 0, 7, 1])
+
+    def test_sumsq_of_several_operands(self):
+        parts = [Tensor(rng(s).uniform(-1, 1, shape), requires_grad=True)
+                 for s, shape in enumerate(((2, 3), (4,), ()))]
+        total = 0.0
+        for p in parts:
+            total = total + (p.data * p.data).sum()
+        assert float(T.sumsq(*parts).data) == total
+        _fd_check(lambda: T.scale(T.sumsq(*parts), 0.5), parts)
 
     def test_no_operands(self):
         with pytest.raises(DomainError):
@@ -162,13 +199,27 @@ class TestReduce:
 
 
 class TestBatchOps:
-    def test_einsum_matches_numpy_and_finite_differences(self):
-        a = Tensor(rng(6).uniform(-1, 1, (2, 3, 4)), requires_grad=True)
-        v = Tensor(rng(7).uniform(-1, 1, (2, 4)), requires_grad=True)
-        out = T.einsum("bnh,bh->bn", a, v)
-        np.testing.assert_allclose(out.data, [a.data[b] @ v.data[b] for b in range(2)],
-                                   atol=1e-15)
-        _fd_check(lambda: T.tmean(T.tanh(T.einsum("bnh,bh->bn", a, v))), [a, v])
+    def test_matmul_stacks_match_numpy_and_finite_differences(self):
+        # the products of attention: a weight shared by a stack of row
+        # vectors, and a stack of row vectors against a stack of matrices
+        hidden = Tensor(rng(6).uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        query = Tensor(rng(7).uniform(-1, 1, (2, 1, 5)), requires_grad=True)
+        w = Tensor(rng(8).uniform(-1, 1, (4, 5)), requires_grad=True)
+        wq = T.matmul(query, T.transpose(w))
+        np.testing.assert_allclose(wq.data[:, 0], [w.data @ query.data[b, 0] for b in range(2)],
+                                   rtol=0, atol=1e-15)
+        scores = T.matmul(wq, T.transpose(hidden))
+        assert scores.shape == (2, 1, 3)
+        np.testing.assert_allclose(scores.data[:, 0], [hidden.data[b] @ wq.data[b, 0]
+                                                       for b in range(2)], rtol=0, atol=1e-15)
+
+        def build():
+            wq = T.matmul(query, T.transpose(w))
+            return T.tmean(T.tanh(T.matmul(T.tanh(T.matmul(wq, T.transpose(hidden))), hidden)))
+
+        _fd_check(build, [hidden, query, w])
+        with pytest.raises(ShapeError):
+            T.matmul(hidden, Tensor(np.zeros((3, 4, 2))))
 
     def test_add_broadcasts_a_bias_row(self):
         x = Tensor(rng(8).uniform(-1, 1, (3, 2)), requires_grad=True)
@@ -327,40 +378,42 @@ class TestLstmSequence:
         ref, (x_rows, ws, us, bs) = per_step_lstm(xs, w, u, b, reverse)
         T.tmean(T.mul(ref, Tensor(weights))).backward()
 
-        leaves = [Tensor(a, requires_grad=True) for a in (xs, w, u, b)]
-        out = T.lstm_sequence(*leaves, reverse=reverse)
-        T.tmean(T.mul(out, Tensor(weights))).backward()
+        leaves = [Tensor(a, requires_grad=True) for a in (xs[None], w, u, b)]
+        out = T.lstm_sequence(*leaves, [n], reverse=reverse)
+        T.tmean(T.mul(out, Tensor(weights[None]))).backward()
 
-        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], ref.data, rtol=0, atol=1e-12)
         for got, parts in zip(leaves, (x_rows, ws, us, bs)):
-            expected = np.stack([p.grad for p in parts]) if got is leaves[0] \
+            expected = np.stack([p.grad for p in parts])[None] if got is leaves[0] \
                 else np.concatenate([p.grad for p in parts])
             np.testing.assert_allclose(got.grad, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_central_differences(self, reverse):
         xs, w, u, b, weights = lstm_case(20, 4)
-        leaves = [Tensor(a, requires_grad=True) for a in (xs, w, u, b)]
+        leaves = [Tensor(a, requires_grad=True) for a in (xs[None], w, u, b)]
 
         def build():
-            out = T.lstm_sequence(*leaves, reverse=reverse)
-            return T.tmean(T.mul(T.tanh(out), Tensor(weights)))
+            out = T.lstm_sequence(*leaves, [4], reverse=reverse)
+            return T.tmean(T.mul(T.tanh(out), Tensor(weights[None])))
 
         _fd_check(build, leaves)
 
     def test_constant_input_gets_no_gradient(self):
         xs, w, u, b, _ = lstm_case(21, 3)
-        x = Tensor(xs)
+        x = Tensor(xs[None])
         wt = Tensor(w, requires_grad=True)
-        T.tmean(T.lstm_sequence(x, wt, Tensor(u), Tensor(b))).backward()
+        T.tmean(T.lstm_sequence(x, wt, Tensor(u), Tensor(b), [3])).backward()
         assert x.grad is None and wt.grad is not None
 
     def test_shape_mismatch(self):
         xs, w, u, b, _ = lstm_case(22, 3)
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs), Tensor(w[:, :-1]), Tensor(u), Tensor(b))
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w[:, :-1]), Tensor(u), Tensor(b), [3])
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs), Tensor(w), Tensor(u), Tensor(b[:-1]))
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b[:-1]), [3])
+        with pytest.raises(ShapeError):  # one sequence without its batch axis
+            T.lstm_sequence(Tensor(xs), Tensor(w), Tensor(u), Tensor(b), [3])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_batch_matches_single_sequences(self, reverse):
@@ -378,17 +431,17 @@ class TestLstmSequence:
         # the batch's loss is the sum of the sequences' losses
         expected_out = np.zeros((len(lengths), width, d_h))
         expected_dx = np.zeros(xs.shape)
-        for j, n in enumerate(lengths):
+        for j, n in enumerate(lengths):  # each sequence as a batch of one
             if n:
-                x = Tensor(xs[j, :n], requires_grad=True)
-                out = T.lstm_sequence(x, w, u, b, reverse=reverse)
-                weighted_sum(out, weights[j, :n]).backward()
-                expected_out[j, :n], expected_dx[j, :n] = out.data, x.grad
+                x = Tensor(xs[j:j + 1, :n], requires_grad=True)
+                out = T.lstm_sequence(x, w, u, b, [n], reverse=reverse)
+                weighted_sum(out, weights[j:j + 1, :n]).backward()
+                expected_out[j, :n], expected_dx[j, :n] = out.data[0], x.grad[0]
         expected_grads = [t.grad for t in (w, u, b)]
         for t in (w, u, b):
             t.zero_grad()
         x = Tensor(xs, requires_grad=True)
-        out = T.lstm_sequence(x, w, u, b, reverse=reverse, lengths=lengths)
+        out = T.lstm_sequence(x, w, u, b, lengths, reverse=reverse)
         weighted_sum(out, weights).backward()
 
         np.testing.assert_allclose(out.data, expected_out, rtol=0, atol=1e-12)
@@ -399,6 +452,8 @@ class TestLstmSequence:
     def test_lengths_longer_than_the_block_rejected(self):
         xs, w, u, b, _ = lstm_case(24, 3)
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), lengths=[4])
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [4])
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), lengths=[1, 2])
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [1, 2])
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [-1])

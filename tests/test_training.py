@@ -197,6 +197,8 @@ class TestTrain:
     def test_empty_corpus(self):
         with pytest.raises(DomainError):
             train([], EmbeddingTable(dim=6), CFG, HP, DIMS)
+        with pytest.raises(DomainError, match="dev corpus"):
+            train(make_corpus(), EmbeddingTable(dim=6), CFG, HP, DIMS, dev_examples=[])
 
     def test_deterministic_given_seed(self):
         runs = []
@@ -234,7 +236,8 @@ class TestTrain:
 
 class TestHyperparams:
     @pytest.mark.parametrize("field, value", [
-        ("learning_rate", math.nan), ("l2_weight", math.nan), ("l2_weight", -1e-5),
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("l2_weight", math.nan),
+        ("l2_weight", math.inf), ("l2_weight", -1e-5),
         ("dropout_rate", math.nan), ("momentum", math.nan), ("seed", -1)])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ConfigError):
