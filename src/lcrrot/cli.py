@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -114,24 +115,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _open_text(path: Path):
+    """Open an input file as UTF-8 text; a decoding error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc})") from None
+
+
 def _read_config_file(path: Path) -> dict:
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "variant" and value not in {v.value for v in ALL_VARIANTS}:
-            raise ConfigError(f"{path}:{lineno}: unknown variant {value!r}")
-        kind = type(DEFAULTS[key])
-        try:
-            values[key] = kind(value)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: {key} = {value!r} is not a {kind.__name__}") from None
+    with _open_text(path) as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in DEFAULTS:
+                raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+            if key == "variant" and value not in {v.value for v in ALL_VARIANTS}:
+                raise ConfigError(f"{path}:{lineno}: unknown variant {value!r}")
+            kind = type(DEFAULTS[key])
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: {key} = {value!r} is not a {kind.__name__}") from None
     return values
 
 
@@ -156,12 +168,12 @@ def _hyperparams(cfg: dict) -> training.Hyperparams:
 def _load_table(path, dim: int, seed: int) -> EmbeddingTable:
     if path is None:
         return EmbeddingTable(dim=dim, seed=seed)
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return load_pretrained(fh, dim=dim, seed=seed)
 
 
 def _load_examples(path):
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return corpus_mod.load_examples(fh)
 
 
@@ -208,10 +220,13 @@ def _cmd_ablate(args) -> int:
     dims = Dimensions(d=cfg["dim"], d_h=cfg["hidden"])
     train_ex = _load_examples(args.train_corpus)
     test_ex = _load_examples(args.test_corpus)
+    if not test_ex:
+        raise DomainError(f"{args.test_corpus}: empty test corpus")
+    # an OOV row depends on (seed, token) alone, so the variants can share one table
+    table = _load_table(args.embeddings, cfg["dim"], cfg["seed"])
 
     print(f"{'variant':<22}\ttest_acc")
     for variant in ALL_VARIANTS:
-        table = _load_table(args.embeddings, cfg["dim"], cfg["seed"])
         vcfg = VariantConfig(variant=variant)
         params, _ = training.train(train_ex, table, vcfg, hp, dims)
         acc = evalreport.evaluate(test_ex, table, params, vcfg).accuracy
@@ -227,10 +242,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_ttest(args) -> int:
     def read_numbers(path):
-        try:
-            return [float(x) for x in path.read_text().split()]
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        with _open_text(path) as fh:
+            try:
+                return [float(x) for x in fh.read().split()]
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
 
     a = read_numbers(args.file_a)
     b = read_numbers(args.file_b)

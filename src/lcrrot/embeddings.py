@@ -33,9 +33,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.rows)
 
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.rows
-
     def lookup(self, token: str) -> np.ndarray:
         """Return the vector for ``token``, materializing an OOV row if needed."""
         if not token:

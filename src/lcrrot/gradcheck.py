@@ -10,6 +10,8 @@ from .embeddings import EmbeddingTable
 from .model import Dimensions, ModelParams, VariantConfig, forward, init_params
 from .training import loss
 
+STEP = 1e-5  # central-difference step
+
 
 def _loss_value(ex, table, params, cfg, lam) -> float:
     with T.no_grad():
@@ -18,8 +20,7 @@ def _loss_value(ex, table, params, cfg, lam) -> float:
 
 
 def max_gradient_error(ex: Example, table: EmbeddingTable, params: ModelParams,
-                       cfg: VariantConfig, lam: float = 1e-5,
-                       step: float = 1e-5) -> float:
+                       cfg: VariantConfig, lam: float = 1e-5) -> float:
     """Max discrepancy between analytic and central-difference gradients.
 
     The discrepancy per entry is |analytic - fd| / max(|analytic|, |fd|, 1e-3);
@@ -37,12 +38,12 @@ def max_gradient_error(ex: Example, table: EmbeddingTable, params: ModelParams,
         gflat = np.asarray(grad, dtype=np.float64).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             hi = _loss_value(ex, table, params, cfg, lam)
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             lo = _loss_value(ex, table, params, cfg, lam)
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * STEP)
             err = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-3)
             worst = max(worst, err)
     return worst

@@ -8,15 +8,10 @@ contexts as queries, producing left-aware and right-aware target
 representations). The four component vectors are concatenated and fed to
 a softmax classifier.
 
-Variants:
-  * no_target_attention - drop context2target; the target component is
-    the plain mean of target hidden states.
-  * no_target_learned   - additionally drop the center Bi-LSTM; the target
-    query/component is the mean of raw target word embeddings.
-  * no_attention        - all three components are plain means of hidden
-    states, no attention anywhere.
-  * attention_reverse   - run context2target first (with pooled-context
-    queries), then target2context with the attended targets as queries.
+The variants differ only in which attention stages run, and in what order;
+``STAGES`` below says so for each, and drives the parameters, the forward
+pass and the classifier width. ``no_target_learned`` also has no center
+Bi-LSTM: its target query is the mean of the raw target embeddings.
 
 ``forward`` runs a list of examples as one batch: each segment is embedded
 into a zero-padded [B, n, d] block with its lengths, each LSTM direction is
@@ -52,6 +47,20 @@ class Variant(str, Enum):
 
 ALL_VARIANTS = tuple(Variant)
 
+# The attention stages of each variant, in run order. "t2c" (target2context)
+# attends over each context with a target query; "c2t" (context2target)
+# attends over the target with each context vector as the query. The first
+# t2c takes the pooled target as its query, a later one the attended
+# targets; the first c2t takes the context means, a later one the attended
+# contexts.
+STAGES: dict[Variant, tuple[str, ...]] = {
+    Variant.LCR_ROT: ("t2c", "c2t"),
+    Variant.NO_TARGET_ATTENTION: ("t2c",),
+    Variant.NO_TARGET_LEARNED: ("t2c",),
+    Variant.NO_ATTENTION: (),
+    Variant.ATTENTION_REVERSE: ("c2t", "t2c"),
+}
+
 
 @dataclass(frozen=True)
 class VariantConfig:
@@ -75,15 +84,12 @@ class Dimensions:
 
 
 def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
-    """Dimension of the concatenated sentence representation v."""
-    h = dims.hidden
-    if variant in (Variant.LCR_ROT, Variant.ATTENTION_REVERSE):
-        return 4 * h
-    if variant in (Variant.NO_TARGET_ATTENTION, Variant.NO_ATTENTION):
-        return 3 * h
-    if variant is Variant.NO_TARGET_LEARNED:
-        return 2 * h + dims.d
-    raise ConfigError(f"unknown variant {variant}")
+    """Dimension of the concatenated sentence representation v: both context
+    vectors, and both attended targets or else the target query, which is a
+    raw embedding mean when there is no center Bi-LSTM."""
+    if "c2t" in STAGES[variant]:
+        return 4 * dims.hidden
+    return 2 * dims.hidden + (dims.d if variant is Variant.NO_TARGET_LEARNED else dims.hidden)
 
 
 @dataclass
@@ -146,31 +152,25 @@ def init_params(dims: Dimensions, cfg: VariantConfig,
                 rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: weight matrices from U(-0.1, 0.1), biases zero."""
     variant = cfg.variant
+    stages = STAGES[variant]
     h = dims.hidden
     left = _init_bilstm(dims.d, dims.d_h, rng)
     right = _init_bilstm(dims.d, dims.d_h, rng)
-    center = None
-    if variant is not Variant.NO_TARGET_LEARNED:
-        center = _init_bilstm(dims.d, dims.d_h, rng)
+    center = (None if variant is Variant.NO_TARGET_LEARNED
+              else _init_bilstm(dims.d, dims.d_h, rng))
 
     def mat(shape):
         return Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
 
-    def scalar():
-        return Tensor(0.0, requires_grad=True)
-
+    # drawn in this order whatever order the stages run in
     attention: dict[str, Tensor] = {}
-    if variant in (Variant.LCR_ROT, Variant.ATTENTION_REVERSE):
-        attention = {"w_cl": mat((h, h)), "w_cr": mat((h, h)),
-                     "w_tl": mat((h, h)), "w_tr": mat((h, h)),
-                     "b_cl": scalar(), "b_cr": scalar(),
-                     "b_tl": scalar(), "b_tr": scalar()}
-    elif variant is Variant.NO_TARGET_ATTENTION:
-        attention = {"w_cl": mat((h, h)), "w_cr": mat((h, h)),
-                     "b_cl": scalar(), "b_cr": scalar()}
-    elif variant is Variant.NO_TARGET_LEARNED:
-        attention = {"w_cl": mat((h, dims.d)), "w_cr": mat((h, dims.d)),
-                     "b_cl": scalar(), "b_cr": scalar()}
+    if "t2c" in stages:
+        q = dims.d if center is None else h  # the width of the target query
+        attention.update(w_cl=mat((h, q)), w_cr=mat((h, q)))
+    if "c2t" in stages:
+        attention.update(w_tl=mat((h, h)), w_tr=mat((h, h)))
+    for name in list(attention):
+        attention["b" + name[1:]] = Tensor(0.0, requires_grad=True)
 
     v_dim = sentence_vector_dim(variant, dims)
     clf_w = mat((dims.n_classes, v_dim))
@@ -298,8 +298,7 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     if not batch:
         raise DomainError("forward of an empty batch")
 
-    variant = params.variant
-    h_size = params.dims.hidden
+    stages = STAGES[params.variant]
     a = params.attention
 
     (left_emb, len_l), (target_emb, len_t), (right_emb, len_r) = (
@@ -308,45 +307,29 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
 
     hid_l = encode_bilstm(left_emb, params.left, len_l)
     hid_r = encode_bilstm(right_emb, params.right, len_r)
-    hid_t = None
-    if params.center is not None:
-        hid_t = encode_bilstm(target_emb, params.center, len_t)
+    hid_t = (None if params.center is None
+             else encode_bilstm(target_emb, params.center, len_t))
 
     alpha_l = alpha_r = alpha_tl = alpha_tr = None
-    r_tl = r_tr = r_t = None
+    r_l = r_r = r_tl = r_tr = r_t = None
+    first = stages[0] if stages else None
+    if first != "t2c":  # the context means are the first context vectors
+        r_l = _mean_or_zero(hid_l, params.dims.hidden, len_l)
+        r_r = _mean_or_zero(hid_r, params.dims.hidden, len_r)
+    if first != "c2t":  # the pooled target: the first t2c query, or a component of v
+        r_t = (T.mean_rows(Tensor(target_emb), len_t) if params.center is None
+               else pool_target(hid_t, len_t))
 
-    if variant is Variant.LCR_ROT:
-        r_t = pool_target(hid_t, len_t)
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
-        alpha_tl, r_tl = attend(hid_t, r_l, a["w_tl"], a["b_tl"], len_t)
-        alpha_tr, r_tr = attend(hid_t, r_r, a["w_tr"], a["b_tr"], len_t)
-        v = T.concat([r_l, r_tl, r_tr, r_r])
-    elif variant is Variant.NO_TARGET_ATTENTION:
-        r_t = pool_target(hid_t, len_t)
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
-        v = T.concat([r_l, r_t, r_r])
-    elif variant is Variant.NO_TARGET_LEARNED:
-        r_t = T.mean_rows(Tensor(target_emb), len_t)
-        alpha_l, r_l = attend(hid_l, r_t, a["w_cl"], a["b_cl"], len_l)
-        alpha_r, r_r = attend(hid_r, r_t, a["w_cr"], a["b_cr"], len_r)
-        v = T.concat([r_l, r_t, r_r])
-    elif variant is Variant.NO_ATTENTION:
-        r_l = _mean_or_zero(hid_l, h_size, len_l)
-        r_r = _mean_or_zero(hid_r, h_size, len_r)
-        r_t = pool_target(hid_t, len_t)
-        v = T.concat([r_l, r_t, r_r])
-    elif variant is Variant.ATTENTION_REVERSE:
-        q_left = _mean_or_zero(hid_l, h_size, len_l)
-        q_right = _mean_or_zero(hid_r, h_size, len_r)
-        alpha_tl, r_tl = attend(hid_t, q_left, a["w_tl"], a["b_tl"], len_t)
-        alpha_tr, r_tr = attend(hid_t, q_right, a["w_tr"], a["b_tr"], len_t)
-        alpha_l, r_l = attend(hid_l, r_tl, a["w_cl"], a["b_cl"], len_l)
-        alpha_r, r_r = attend(hid_r, r_tr, a["w_cr"], a["b_cr"], len_r)
-        v = T.concat([r_l, r_tl, r_tr, r_r])
-    else:
-        raise ConfigError(f"unknown variant {variant}")
+    for stage in stages:
+        if stage == "t2c":
+            alpha_l, r_l = attend(hid_l, r_t if r_tl is None else r_tl,
+                                  a["w_cl"], a["b_cl"], len_l)
+            alpha_r, r_r = attend(hid_r, r_t if r_tr is None else r_tr,
+                                  a["w_cr"], a["b_cr"], len_r)
+        else:
+            alpha_tl, r_tl = attend(hid_t, r_l, a["w_tl"], a["b_tl"], len_t)
+            alpha_tr, r_tr = attend(hid_t, r_r, a["w_tr"], a["b_tr"], len_t)
+    v = T.concat([r_l, r_t, r_r] if r_tl is None else [r_l, r_tl, r_tr, r_r])
 
     v = T.index(v, (slice(None), 0))  # [B, 1, v] -> [B, v]
     if mode == "train" and dropout_rate > 0.0:

@@ -225,16 +225,13 @@ def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
             os.remove(tmp)
 
 
-def load_checkpoint(path, expect_variant: Optional[Variant] = None,
-                    ) -> tuple[ModelParams, VariantConfig, Hyperparams]:
+def load_checkpoint(path) -> tuple[ModelParams, VariantConfig, Hyperparams]:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
             if header["format_version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported version {header['format_version']!r}")
             variant = Variant(header["variant"])
-            if expect_variant is not None and variant is not expect_variant:
-                raise ValueError(f"holds {variant.value}, expected {expect_variant.value}")
             cfg = VariantConfig(variant=variant)
             hp = Hyperparams(**header["hyperparams"])
             # rebuild the parameter skeleton, then overwrite every tensor

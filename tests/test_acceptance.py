@@ -41,8 +41,7 @@ def test_criterion_1_gradient_fidelity():
     for variant in ALL_VARIANTS:
         ex, table, params, cfg = tiny_setup(variant, seed=7, d=4, d_h=3,
                                             left_len=3, target_len=2, right_len=2)
-        errors[variant.value] = max_gradient_error(ex, table, params, cfg,
-                                                   lam=1e-5, step=1e-5)
+        errors[variant.value] = max_gradient_error(ex, table, params, cfg, lam=1e-5)
     elapsed = time.time() - start
     for variant, err in errors.items():
         assert err < 1e-4, f"{variant}: {err}"

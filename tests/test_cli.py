@@ -133,7 +133,7 @@ def test_non_finite_vector_row_is_data_error(corpus_file, tmp_path, capsys, valu
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate", "train_dev"])
-def test_empty_corpus_is_data_error(corpus_file, tmp_path, capsys, command):
+def test_empty_corpus_is_data_error(corpus_file, tmp_path, capsys, monkeypatch, command):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     ckpt = tmp_path / "model.ckpt"
@@ -146,10 +146,16 @@ def test_empty_corpus_is_data_error(corpus_file, tmp_path, capsys, command):
         argv = ["ablate", "--train-corpus", str(corpus_file), "--test-corpus", str(empty), *small]
     else:
         argv = base_train_args(corpus_file, tmp_path, extra=["--dev-corpus", str(empty)])
+    trained = []
+    real_train = training.train
+    monkeypatch.setattr(training, "train",
+                        lambda *args, **kw: trained.append(args[2]) or real_train(*args, **kw))
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "empty" in err[0]
     assert ckpt.exists() == (command == "eval")
+    if command == "ablate":
+        assert trained == []  # rejected before the first variant trains
 
 
 @pytest.mark.parametrize("damage", ["not_utf8", "directory"])
@@ -167,8 +173,17 @@ def test_unreadable_input_file_is_data_error(corpus_file, tmp_path, capsys, flag
         args += [flag, str(bad)]
     assert run(args) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_ttest_non_utf8_file_is_data_error(tmp_path, capsys):
+    good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+    good.write_text("0.7 0.8 0.75\n", encoding="utf-8")
+    bad.write_bytes(b"\xff\xfe0.7 0.8 0.75\n")
+    assert run(["ttest", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
 
 
 def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):

@@ -134,21 +134,50 @@ class TestEncodeBilstm:
                                        atol=1e-12)
 
 
-def test_init_params_stack_per_gate_draws():
-    """One draw per stacked matrix equals four per-gate draws, in gate order."""
+# d, d_h = 4, 3 (h = 6): per variant, the encoders, the attention matrices
+# in draw order with their shapes, and the classifier width
+INIT_LAYOUT = {
+    Variant.LCR_ROT: (("left", "right", "center"),
+                      {"w_cl": (6, 6), "w_cr": (6, 6), "w_tl": (6, 6), "w_tr": (6, 6)}, 24),
+    Variant.NO_TARGET_ATTENTION: (("left", "right", "center"),
+                                  {"w_cl": (6, 6), "w_cr": (6, 6)}, 18),
+    Variant.NO_TARGET_LEARNED: (("left", "right"), {"w_cl": (6, 4), "w_cr": (6, 4)}, 16),
+    Variant.NO_ATTENTION: (("left", "right", "center"), {}, 18),
+    Variant.ATTENTION_REVERSE: (("left", "right", "center"),
+                                {"w_cl": (6, 6), "w_cr": (6, 6), "w_tl": (6, 6), "w_tr": (6, 6)}, 24),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_init_params_stack_per_gate_draws(variant):
+    """One draw per stacked matrix equals four per-gate draws, in gate order;
+    then the attention matrices and the classifier, in a fixed order. The
+    names and shapes are the checkpoint's ``params`` header."""
     d, d_h = 4, 3
-    params = init_params(Dimensions(d=d, d_h=d_h), VariantConfig(), rng(12))
+    encoders, attention, v_dim = INIT_LAYOUT[variant]
+    params = init_params(Dimensions(d=d, d_h=d_h), VariantConfig(variant), rng(12))
     g = rng(12)
-    for enc in (params.left, params.right, params.center):
-        for p in (enc.fwd, enc.bwd):
+    expected = []
+    for enc in encoders:
+        for direction in ("fwd", "bwd"):
+            p = getattr(getattr(params, enc), direction)
             w = np.vstack([g.uniform(-0.1, 0.1, (d_h, d)) for _ in range(4)])
             u = np.vstack([g.uniform(-0.1, 0.1, (d_h, d_h)) for _ in range(4)])
             assert p.w.data.tobytes() == w.tobytes()
             assert p.u.data.tobytes() == u.tobytes()
             np.testing.assert_array_equal(p.b.data, np.zeros(4 * d_h))
-    h = 2 * d_h
-    assert params.attention["w_cl"].data.tobytes() == \
-        g.uniform(-0.1, 0.1, (h, h)).tobytes()
+            name = f"{enc}.{direction}"
+            expected += [(f"{name}.w", (4 * d_h, d)), (f"{name}.u", (4 * d_h, d_h)),
+                         (f"{name}.b", (4 * d_h,))]
+    for name, shape in attention.items():
+        assert params.attention[name].data.tobytes() == g.uniform(-0.1, 0.1, shape).tobytes()
+        assert params.attention["b" + name[1:]].data == 0.0
+    assert params.clf_w.data.tobytes() == g.uniform(-0.1, 0.1, (3, v_dim)).tobytes()
+    np.testing.assert_array_equal(params.clf_b.data, np.zeros(3))
+    expected += sorted([(f"attention.b{n[1:]}", ()) for n in attention]
+                       + [(f"attention.{n}", s) for n, s in attention.items()])
+    expected += [("clf.w", (3, v_dim)), ("clf.b", (3,))]
+    assert [(n, t.data.shape) for n, t in params.named()] == expected
 
 
 def pool_one(states):

@@ -341,13 +341,6 @@ class TestCheckpoint:
             assert t1.data.shape == t2.data.shape
             assert t1.data.tobytes() == t2.data.tobytes()
 
-    def test_variant_mismatch_rejected(self, tmp_path):
-        params, cfg = tiny_params(variant=Variant.NO_ATTENTION)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, HP, path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expect_variant=Variant.LCR_ROT)
-
     def test_bad_version_rejected(self, tmp_path):
         params, cfg = tiny_params()
         path = tmp_path / "model.ckpt"
