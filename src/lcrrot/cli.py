@@ -5,18 +5,22 @@ Exit codes: 0 success, 1 usage error, 2 data/format error (an unreadable
 or non-UTF-8 input file among them), 3 numeric failure (gradient check
 above tolerance).
 
-train, ablate and gradcheck take the hyperparameter flags and a
-``key = value`` config file (--config); explicit flags override config
-values, which override built-in defaults. The effective configuration is
-echoed at startup. eval and viz read variant, dimensions and seed from the
-checkpoint.
+train takes ten settings (lr l2 dropout momentum batch_size epochs dim
+hidden seed variant), each as a flag or a ``key = value`` line of a
+--config file; ablate takes all but variant (it runs all five), gradcheck
+only l2, seed and variant (its dimensions are fixed). Any other setting is
+refused. Flags override the config file, which overrides the defaults.
+The effective configuration is echoed at startup. eval and viz read
+variant, dimensions and seed from the checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
+from enum import Enum
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -24,20 +28,27 @@ from . import evalreport, gradcheck, training
 from .embeddings import EmbeddingTable, load_pretrained
 from .errors import (CheckpointError, ConfigError, DomainError, FormatError,
                      ShapeError)
-from .model import ALL_VARIANTS, Dimensions, Variant, VariantConfig
+from .model import ALL_VARIANTS, Dimensions, VariantConfig
 
-DEFAULTS = {
-    "lr": 0.1,
-    "l2": 1e-5,
-    "dropout": 0.5,
-    "momentum": 0.9,
-    "batch_size": 25,
-    "epochs": 20,
-    "dim": 300,
-    "hidden": 300,
-    "seed": 1,
-    "variant": "lcr_rot",
+# Each setting, named as its config key (its flag spells "_" as "-"): the
+# dataclass field it fills, which gives its type and default, and its help.
+SETTINGS = {
+    "lr": (training.Hyperparams, "learning_rate", "learning rate"),
+    "l2": (training.Hyperparams, "l2_weight", "L2 weight"),
+    "dropout": (training.Hyperparams, "dropout_rate", "dropout rate"),
+    "momentum": (training.Hyperparams, "momentum", "momentum"),
+    "batch_size": (training.Hyperparams, "batch_size", "mini-batch size"),
+    "epochs": (training.Hyperparams, "max_epochs", "training epochs"),
+    "dim": (Dimensions, "d", "embedding dimension"),
+    "hidden": (Dimensions, "d_h", "LSTM hidden size per direction"),
+    "seed": (training.Hyperparams, "seed", "random seed"),
+    "variant": (VariantConfig, "variant", "model variant"),
 }
+_DEFAULTS = {key: getattr(cls(), field) for key, (cls, field, _) in SETTINGS.items()}
+
+
+def _show(value):
+    return value.value if isinstance(value, Enum) else value
 
 
 class UsageError(Exception):
@@ -54,23 +65,20 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_hyper_flags(p):
-        p.add_argument("--config", type=Path, default=None,
+    def add_settings(p, keys):
+        p.set_defaults(settings=keys)
+        p.add_argument("--config", type=Path,
                        help="key = value config file; flags override it")
-        p.add_argument("--lr", type=float, help=f"learning rate (default {DEFAULTS['lr']})")
-        p.add_argument("--l2", type=float, help=f"L2 weight (default {DEFAULTS['l2']})")
-        p.add_argument("--dropout", type=float, help=f"dropout rate (default {DEFAULTS['dropout']})")
-        p.add_argument("--momentum", type=float, help=f"momentum (default {DEFAULTS['momentum']})")
-        p.add_argument("--batch-size", type=int, help=f"mini-batch size (default {DEFAULTS['batch_size']})")
-        p.add_argument("--epochs", type=int, help=f"training epochs (default {DEFAULTS['epochs']})")
-        p.add_argument("--dim", type=int, help=f"embedding dimension (default {DEFAULTS['dim']})")
-        p.add_argument("--hidden", type=int, help=f"LSTM hidden size per direction (default {DEFAULTS['hidden']})")
-        p.add_argument("--seed", type=int, help=f"random seed (default {DEFAULTS['seed']})")
-        p.add_argument("--variant", choices=[v.value for v in ALL_VARIANTS],
-                       help=f"model variant (default {DEFAULTS['variant']})")
+        for key in keys:
+            default = _DEFAULTS[key]
+            kind = type(default)
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           choices=[v.value for v in kind] if isinstance(default, Enum) else None,
+                           help=f"{SETTINGS[key][2]} (default {_show(default)})")
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    add_hyper_flags(p_train)
+    p_train.set_defaults(run=_cmd_train)
+    add_settings(p_train, tuple(SETTINGS))
     p_train.add_argument("--train-corpus", type=Path, required=True)
     p_train.add_argument("--dev-corpus", type=Path)
     p_train.add_argument("--embeddings", type=Path,
@@ -79,6 +87,7 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--metrics", type=Path, help="per-epoch metrics log file")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a test corpus")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--test-corpus", type=Path, required=True)
     p_eval.add_argument("--train-corpus", type=Path,
@@ -86,19 +95,23 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--embeddings", type=Path)
 
     p_abl = sub.add_parser("ablate", help="train and compare all five variants")
-    add_hyper_flags(p_abl)
+    p_abl.set_defaults(run=_cmd_ablate)
+    add_settings(p_abl, tuple(key for key in SETTINGS if key != "variant"))
     p_abl.add_argument("--train-corpus", type=Path, required=True)
     p_abl.add_argument("--test-corpus", type=Path, required=True)
     p_abl.add_argument("--embeddings", type=Path)
 
     p_stats = sub.add_parser("stats", help="print corpus statistics")
+    p_stats.set_defaults(run=_cmd_stats)
     p_stats.add_argument("--corpus", type=Path, required=True)
 
     p_tt = sub.add_parser("ttest", help="paired t-test between two accuracy files")
+    p_tt.set_defaults(run=_cmd_ttest)
     p_tt.add_argument("file_a", type=Path)
     p_tt.add_argument("file_b", type=Path)
 
     p_viz = sub.add_parser("viz", help="export attention weights for examples")
+    p_viz.set_defaults(run=_cmd_viz)
     p_viz.add_argument("--checkpoint", type=Path, required=True)
     p_viz.add_argument("--corpus", type=Path, required=True)
     p_viz.add_argument("--embeddings", type=Path)
@@ -109,7 +122,8 @@ def _build_parser() -> _Parser:
 
     p_gc = sub.add_parser("gradcheck",
                           help="finite-difference gradient check on a tiny config")
-    add_hyper_flags(p_gc)
+    p_gc.set_defaults(run=_cmd_gradcheck)
+    add_settings(p_gc, ("l2", "seed", "variant"))
     p_gc.add_argument("--tolerance", type=float, default=1e-4)
 
     return parser
@@ -125,7 +139,7 @@ def _open_text(path: Path):
         raise FormatError(f"{path}: not UTF-8 ({exc})") from None
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path, keys) -> dict:
     values = {}
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), 1):
@@ -135,11 +149,10 @@ def _read_config_file(path: Path) -> dict:
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "variant" and value not in {v.value for v in ALL_VARIANTS}:
-                raise ConfigError(f"{path}:{lineno}: unknown variant {value!r}")
-            kind = type(DEFAULTS[key])
+            if key not in keys:
+                raise FormatError(f"{path}:{lineno}: unknown key {key!r} "
+                                  f"(this command takes {', '.join(keys)})")
+            kind = type(_DEFAULTS[key])
             try:
                 values[key] = kind(value)
             except ValueError:
@@ -147,22 +160,19 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
-def _effective_config(args) -> dict:
-    merged = dict(DEFAULTS)
-    if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-    print("effective config: " + " ".join(f"{k}={merged[k]}" for k in sorted(merged)))
-    return merged
-
-def _hyperparams(cfg: dict) -> training.Hyperparams:
-    return training.Hyperparams(
-        learning_rate=cfg["lr"], l2_weight=cfg["l2"], dropout_rate=cfg["dropout"],
-        momentum=cfg["momentum"], batch_size=cfg["batch_size"],
-        max_epochs=cfg["epochs"], seed=cfg["seed"])
+def _effective_config(args):
+    """Echo the command's settings; return the Hyperparams, Dimensions and
+    VariantConfig they fill, and the settings given by flag or config file."""
+    given = _read_config_file(args.config, args.settings) if args.config else {}
+    given.update((key, getattr(args, key)) for key in args.settings
+                 if getattr(args, key) is not None)
+    merged = {key: given.get(key, _DEFAULTS[key]) for key in args.settings}
+    print("effective config: " + " ".join(f"{k}={_show(merged[k])}" for k in sorted(merged)))
+    fields = {training.Hyperparams: {}, Dimensions: {}, VariantConfig: {}}
+    for key, value in merged.items():
+        cls, field, _ = SETTINGS[key]
+        fields[cls][field] = value
+    return *(cls(**kwargs) for cls, kwargs in fields.items()), given
 
 
 def _load_table(path, dim: int, seed: int) -> EmbeddingTable:
@@ -178,13 +188,10 @@ def _load_examples(path):
 
 
 def _cmd_train(args) -> int:
-    cfg = _effective_config(args)
-    hp = _hyperparams(cfg)
-    dims = Dimensions(d=cfg["dim"], d_h=cfg["hidden"])
-    vcfg = VariantConfig(variant=Variant(cfg["variant"]))
+    hp, dims, vcfg, _ = _effective_config(args)
     examples = _load_examples(args.train_corpus)
     dev = _load_examples(args.dev_corpus) if args.dev_corpus else None
-    table = _load_table(args.embeddings, cfg["dim"], cfg["seed"])
+    table = _load_table(args.embeddings, dims.d, hp.seed)
 
     lines = []
 
@@ -215,15 +222,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _effective_config(args)
-    hp = _hyperparams(cfg)
-    dims = Dimensions(d=cfg["dim"], d_h=cfg["hidden"])
+    hp, dims, _, _ = _effective_config(args)
     train_ex = _load_examples(args.train_corpus)
     test_ex = _load_examples(args.test_corpus)
     if not test_ex:
         raise DomainError(f"{args.test_corpus}: empty test corpus")
     # an OOV row depends on (seed, token) alone, so the variants can share one table
-    table = _load_table(args.embeddings, cfg["dim"], cfg["seed"])
+    table = _load_table(args.embeddings, dims.d, hp.seed)
 
     print(f"{'variant':<22}\ttest_acc")
     for variant in ALL_VARIANTS:
@@ -264,11 +269,12 @@ def _cmd_viz(args) -> int:
         indices = [int(x) for x in args.indices.split(",")]
     except ValueError:
         raise UsageError(f"bad --indices value {args.indices!r}") from None
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx in indices:
         if not 0 <= idx < len(examples):
             raise DomainError(f"example index {idx} out of range (corpus has "
                               f"{len(examples)} examples)")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for idx in indices:
         export = evalreport.attention_export(examples[idx], table, params, vcfg)
         if args.format == "json":
             out = args.out_dir / f"attention_{idx}.json"
@@ -281,39 +287,29 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = _effective_config(args)
-    hp = _hyperparams(cfg)  # validates the merged values, the seed among them
-    chosen = args.variant or (args.config and "variant" in _read_config_file(args.config))
-    variants = [Variant(cfg["variant"])] if chosen else ALL_VARIANTS
-    worst = 0.0
+    if not 0 < args.tolerance < math.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {args.tolerance}")
+    hp, _, vcfg, given = _effective_config(args)
+    variants = [vcfg.variant] if "variant" in given else ALL_VARIANTS
+    errors = []
     for variant in variants:
-        ex, table, params, vcfg = gradcheck.tiny_setup(variant, seed=hp.seed)
-        err = gradcheck.max_gradient_error(ex, table, params, vcfg, lam=hp.l2_weight)
+        ex, table, params, cfg = gradcheck.tiny_setup(variant, seed=hp.seed)
+        err = gradcheck.max_gradient_error(ex, table, params, cfg, lam=hp.l2_weight)
         print(f"{variant.value:<22}\tmax relative error {err:.3e}")
-        worst = max(worst, err)
-    if worst >= args.tolerance:
-        print(f"FAIL: {worst:.3e} >= tolerance {args.tolerance:.1e}")
+        errors.append(err)
+    worst = math.nan if any(map(math.isnan, errors)) else max(errors)
+    if not worst < args.tolerance:
+        print(f"FAIL: max relative error {worst:.3e} is not below {args.tolerance:.1e}")
         return 3
     print(f"OK: max relative error {worst:.3e} < {args.tolerance:.1e}")
     return 0
-
-
-_COMMANDS = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "stats": _cmd_stats,
-    "ttest": _cmd_ttest,
-    "viz": _cmd_viz,
-    "gradcheck": _cmd_gradcheck,
-}
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

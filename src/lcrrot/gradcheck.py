@@ -25,17 +25,19 @@ def max_gradient_error(ex: Example, table: EmbeddingTable, params: ModelParams,
 
     The discrepancy per entry is |analytic - fd| / max(|analytic|, |fd|, 1e-3);
     the floor keeps finite-difference roundoff noise on near-zero gradients
-    from dominating the ratio.
+    from dominating the ratio. A NaN in either gradient makes the result NaN,
+    which fails every ``err < tolerance`` check.
     """
     res = forward(ex, table, params, cfg, mode="eval")
     params.zero_grad()
     loss(res.probs, ex.label_index, params, lam).backward()
 
-    worst = 0.0
+    errors = []
     for _, t in params.named():
         grad = t.grad if t.grad is not None else np.zeros(t.data.shape)
         flat = t.data.reshape(-1)
         gflat = np.asarray(grad, dtype=np.float64).reshape(-1)
+        fd = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + STEP
@@ -43,10 +45,10 @@ def max_gradient_error(ex: Example, table: EmbeddingTable, params: ModelParams,
             flat[i] = orig - STEP
             lo = _loss_value(ex, table, params, cfg, lam)
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * STEP)
-            err = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-3)
-            worst = max(worst, err)
-    return worst
+            fd[i] = (hi - lo) / (2.0 * STEP)
+        # np.maximum and np.max propagate NaN, where max() would drop it
+        errors.append(np.abs(gflat - fd) / np.maximum(np.maximum(np.abs(gflat), np.abs(fd)), 1e-3))
+    return float(np.max(np.concatenate(errors)))
 
 
 def tiny_setup(variant, seed: int = 7, d: int = 4, d_h: int = 3,

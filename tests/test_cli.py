@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
-from lcrrot import evalreport, training
+from lcrrot import evalreport, gradcheck, training
+from lcrrot import tensor as T
 from lcrrot.cli import run
 from lcrrot.corpus import load_examples
 from lcrrot.embeddings import EmbeddingTable
 from lcrrot.errors import CheckpointError
+from lcrrot.model import Variant
 
 CORPUS = """the $T$ was good today
 battery
@@ -76,6 +79,17 @@ def test_viz_json_and_html(corpus_file, tmp_path, capsys):
     assert set(doc["weights"]) == {"alpha_l", "alpha_r", "alpha_tl", "alpha_tr"}
 
 
+def test_viz_checks_every_index_before_writing(corpus_file, tmp_path, capsys):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    capsys.readouterr()
+    assert run(["viz", "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--corpus", str(corpus_file), "--indices", "0,99",
+                "--out-dir", str(tmp_path / "viz")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "99" in err[0]
+    assert not list(tmp_path.glob("viz/attention_*"))
+
+
 def test_ttest_command(tmp_path, capsys):
     (tmp_path / "a.txt").write_text("1\n2\n3\n4\n5\n")
     (tmp_path / "b.txt").write_text("0\n0\n0\n0\n0\n")
@@ -96,6 +110,45 @@ def test_gradcheck_variant_from_config_file(tmp_path, capsys):
     results = [l for l in capsys.readouterr().out.splitlines()
                if "max relative error" in l and not l.startswith("OK")]
     assert len(results) == 1 and results[0].startswith("no_attention")
+
+
+@pytest.fixture
+def nan_loss(monkeypatch):
+    """Scale the gradient check's loss by NaN, so the loss and every gradient are NaN."""
+    real_loss = gradcheck.loss
+    monkeypatch.setattr(gradcheck, "loss", lambda *args: T.scale(real_loss(*args), math.nan))
+
+
+def test_nan_gradient_error_fails_the_check(nan_loss):
+    err = gradcheck.max_gradient_error(*gradcheck.tiny_setup(Variant.NO_ATTENTION))
+    assert math.isnan(err) and not err < 1e-4
+
+
+def test_gradcheck_nan_is_numeric_failure(nan_loss, capsys):
+    assert run(["gradcheck", "--variant", "no_attention"]) == 3
+    assert "FAIL: max relative error nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_is_data_error(capsys, tolerance):
+    assert run(["gradcheck", "--variant", "no_attention", "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tolerance" in err[0]
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(("gradcheck", flag) for flag in ("--lr", "--dropout", "--momentum", "--batch-size",
+                                       "--epochs", "--dim", "--hidden")),
+    ("ablate", "--variant")])
+def test_setting_the_command_does_not_read_is_usage_error(corpus_file, capsys, command, flag):
+    if command == "gradcheck":  # it always checks at d = 4, d_h = 3
+        argv = ["gradcheck", "--variant", "no_attention", flag, "1"]
+    else:  # it always trains all five variants
+        argv = ["ablate", "--train-corpus", str(corpus_file), "--test-corpus", str(corpus_file),
+                "--dim", "4", "--hidden", "2", "--epochs", "1", flag, "no_attention"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
 
 
 @pytest.mark.parametrize("flag", ["--batch-size", "--dim", "--hidden", "--epochs"])
@@ -332,13 +385,22 @@ def test_config_file_and_flag_precedence(corpus_file, tmp_path, capsys):
     assert "seed=7" in line        # from config file
     assert "lr=0.05" in line       # flag overrides config
 
-def test_bad_config_key_is_data_error(corpus_file, tmp_path):
+def test_bad_config_key_is_data_error(corpus_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("warp_speed = 9\n")
-    assert run(base_train_args(corpus_file, tmp_path) + ["--config", str(cfg)]) == 2
+    ablate = ["ablate", "--train-corpus", str(corpus_file), "--test-corpus", str(corpus_file),
+              "--dim", "4", "--hidden", "2", "--epochs", "1"]
+    # a key no command takes, then keys of settings these commands do not read
+    for argv, line in ((base_train_args(corpus_file, tmp_path), "warp_speed = 9"),
+                       (["gradcheck"], "dim = 4"),
+                       (ablate, "variant = no_attention")):
+        cfg.write_text(f"seed = 2\n{line}\n")
+        assert run(argv + ["--config", str(cfg)]) == 2, line
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: unknown key")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
-@pytest.mark.parametrize("line", ["batch_size = x", "variant = bogus"])
+@pytest.mark.parametrize("line", ["l2 = x", "variant = bogus"])
 def test_bad_config_value_is_data_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"seed = 2\n{line}\n")
