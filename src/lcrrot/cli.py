@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from enum import Enum
@@ -187,8 +188,27 @@ def _load_examples(path):
         return corpus_mod.load_examples(fh)
 
 
+def _load_test_corpus(path):
+    examples = _load_examples(path)
+    if not examples:
+        raise DomainError(f"{path}: empty test corpus")
+    return examples
+
+
+def _check_output_path(path: Path) -> None:
+    """Reject a file that could not be written, before any work is done."""
+    if path.is_dir():
+        raise ConfigError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{path}: directory {path.parent} does not exist")
+    if not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"{path}: directory {path.parent} is not writable")
+
+
 def _cmd_train(args) -> int:
     hp, dims, vcfg, _ = _effective_config(args)
+    for path in filter(None, (args.checkpoint, args.metrics)):
+        _check_output_path(path)
     examples = _load_examples(args.train_corpus)
     dev = _load_examples(args.dev_corpus) if args.dev_corpus else None
     table = _load_table(args.embeddings, dims.d, hp.seed)
@@ -209,13 +229,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    test = _load_test_corpus(args.test_corpus)
+    train_ex = _load_examples(args.train_corpus) if args.train_corpus else None
     params, vcfg, hp = training.load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.dims.d, hp.seed)
-    test = _load_examples(args.test_corpus)
     result = evalreport.evaluate(test, table, params, vcfg)
     print(f"accuracy\t{result.accuracy:.4f}\t({sum(result.correct_flags)}/{len(test)})")
-    if args.train_corpus:
-        train_ex = _load_examples(args.train_corpus)
+    if train_ex is not None:
         baseline = evalreport.majority_baseline(train_ex, test)
         print(f"majority-baseline\t{baseline:.4f}")
     return 0
@@ -224,9 +244,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     hp, dims, _, _ = _effective_config(args)
     train_ex = _load_examples(args.train_corpus)
-    test_ex = _load_examples(args.test_corpus)
-    if not test_ex:
-        raise DomainError(f"{args.test_corpus}: empty test corpus")
+    test_ex = _load_test_corpus(args.test_corpus)
     # an OOV row depends on (seed, token) alone, so the variants can share one table
     table = _load_table(args.embeddings, dims.d, hp.seed)
 
@@ -262,17 +280,17 @@ def _cmd_ttest(args) -> int:
 
 
 def _cmd_viz(args) -> int:
-    params, vcfg, hp = training.load_checkpoint(args.checkpoint)
-    table = _load_table(args.embeddings, params.dims.d, hp.seed)
-    examples = _load_examples(args.corpus)
     try:
         indices = [int(x) for x in args.indices.split(",")]
     except ValueError:
         raise UsageError(f"bad --indices value {args.indices!r}") from None
+    examples = _load_examples(args.corpus)
     for idx in indices:
         if not 0 <= idx < len(examples):
             raise DomainError(f"example index {idx} out of range (corpus has "
                               f"{len(examples)} examples)")
+    params, vcfg, hp = training.load_checkpoint(args.checkpoint)
+    table = _load_table(args.embeddings, params.dims.d, hp.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx in indices:
         export = evalreport.attention_export(examples[idx], table, params, vcfg)

@@ -7,18 +7,24 @@ PCG64 generator seeded from the table seed and a blake2b digest of the
 token, so the row depends on ``(seed, token)`` alone and not on the order
 of lookups. The row is cached at first lookup.
 
-Rows are never modified by training: ``lookup`` returns copies.
+Rows are never modified by training: ``lookup`` returns copies. A file is
+read ``CHUNK_LINES`` lines at a time, each chunk's numbers parsed by one
+numpy call, so loading holds at most one chunk beyond the table; the rows
+and the errors are those of a line-by-line parse (see ``load_pretrained``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 from typing import IO
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+
+CHUNK_LINES = 512  # lines per numpy parse
 
 
 class EmbeddingTable:
@@ -64,21 +70,40 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
     count differs from ``dim``, with an unparsable or non-finite number, or
     whose numbers sum beyond the float range, raises FormatError naming the
     1-based line number.
+
+    numpy parses ``CHUNK_LINES`` non-blank lines per call, so the memory in
+    use beyond the table is one chunk. A chunk it rejects is parsed again
+    line by line, which accepts what ``float`` accepts (``1_0``, non-ASCII
+    digits) and raises the first fault in file order, as before.
     """
     table = EmbeddingTable(dim=dim, seed=seed)
-    for lineno, line in enumerate(source, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        token = parts[0].lower()
-        if len(parts) - 1 != dim:
-            raise FormatError(
-                f"line {lineno}: expected {dim} values, found {len(parts) - 1}")
+    numbered = ((n, line) for n, line in enumerate(source, start=1) if line.strip())
+    while chunk := list(islice(numbered, CHUNK_LINES)):
+        heads = [line.split(None, 1) for _, line in chunk]
         try:
-            values = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: unparsable number ({exc})") from None
-        if not math.isfinite(sum(values)):  # NaN and inf carry through the sum
-            raise FormatError(f"line {lineno}: non-finite value for {token!r}")
-        table.rows.setdefault(token, np.array(values))
+            block = np.loadtxt([rest for _, rest in heads], comments=None, ndmin=2)
+        except ValueError:  # also a token-only line, which fails to unpack
+            block = None
+        # cumsum sums each row left to right, as the line-by-line check does;
+        # a row that overflows is not warned about here, but named below
+        with np.errstate(all="ignore"):
+            fast = (block is not None and block.shape == (len(chunk), dim)
+                    and np.isfinite(np.cumsum(block, axis=1)[:, -1]).all())
+        if fast:
+            for (token, _), row in zip(heads, block):
+                table.rows.setdefault(token.lower(), row)
+            continue
+        for lineno, line in chunk:
+            parts = line.split()
+            token = parts[0].lower()
+            if len(parts) - 1 != dim:
+                raise FormatError(
+                    f"line {lineno}: expected {dim} values, found {len(parts) - 1}")
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: unparsable number ({exc})") from None
+            if not math.isfinite(sum(values)):  # NaN and inf carry through the sum
+                raise FormatError(f"line {lineno}: non-finite value for {token!r}")
+            table.rows.setdefault(token, np.array(values))
     return table

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
-from lcrrot import evalreport, gradcheck, training
+from lcrrot import cli, evalreport, gradcheck, training
 from lcrrot import tensor as T
 from lcrrot.cli import run
 from lcrrot.corpus import load_examples
@@ -183,6 +184,61 @@ def test_non_finite_vector_row_is_data_error(corpus_file, tmp_path, capsys, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: line 2:")
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("damage", ["missing_dir", "directory", "read_only_dir"])
+@pytest.mark.parametrize("flag", ["--checkpoint", "--metrics"])
+def test_unwritable_output_path_is_rejected_before_training(
+        corpus_file, tmp_path, capsys, monkeypatch, flag, damage):
+    bad = tmp_path / "out" / "file"
+    if damage == "directory":
+        bad.mkdir(parents=True)
+    elif damage == "read_only_dir":
+        bad.parent.mkdir()
+        real_access = os.access  # a root user may write anywhere, so fake the refusal
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            path != bad.parent and real_access(path, mode)))
+    args = base_train_args(corpus_file, tmp_path)
+    if flag == "--checkpoint":
+        args[args.index(flag) + 1] = str(bad)
+    else:
+        args += [flag, str(bad)]
+    monkeypatch.setattr(training, "train", lambda *a, **kw: pytest.fail("training started"))
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+    assert captured.out.splitlines()[0].startswith("effective config:")
+    assert len(captured.out.splitlines()) == 1  # no epoch line
+    assert not (tmp_path / "model.ckpt").exists() and not bad.is_file()
+
+
+@pytest.mark.parametrize("command", ["eval", "eval_train_corpus", "viz"])
+def test_corpus_checked_before_the_vector_file_loads(corpus_file, tmp_path, capsys,
+                                                     monkeypatch, command):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("good " + " ".join(["0.1"] * 6) + "\n", encoding="utf-8")
+    loads = []
+    monkeypatch.setattr(cli, "load_pretrained", lambda *a, **kw: loads.append(a))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    common = ["--checkpoint", str(tmp_path / "model.ckpt"), "--embeddings", str(vectors)]
+    if command == "eval":
+        argv = ["eval", *common, "--test-corpus", str(empty)]
+    elif command == "eval_train_corpus":
+        argv = ["eval", *common, "--test-corpus", str(corpus_file),
+                "--train-corpus", str(tmp_path / "missing.txt")]
+    else:
+        argv = ["viz", *common, "--corpus", str(corpus_file), "--indices", "0,99",
+                "--out-dir", str(tmp_path / "viz")]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""  # no accuracy line before the error
+    assert loads == []
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate", "train_dev"])
