@@ -24,6 +24,8 @@ from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import evalreport, gradcheck, training
 from .embeddings import EmbeddingTable, load_pretrained
@@ -311,9 +313,13 @@ def _cmd_gradcheck(args) -> int:
     variants = [vcfg.variant] if "variant" in given else ALL_VARIANTS
     errors = []
     for variant in variants:
-        ex, table, params, cfg = gradcheck.tiny_setup(variant, seed=hp.seed)
-        err = gradcheck.max_gradient_error(ex, table, params, cfg, lam=hp.l2_weight)
-        print(f"{variant.value:<22}\tmax relative error {err:.3e}")
+        # the initial point, and a stressed one where the attention is not uniform
+        (name0, err0), (name1, err1) = (gradcheck.worst(gradcheck.gradient_errors(
+            *gradcheck.tiny_setup(variant, seed=hp.seed, stressed=stressed), lam=hp.l2_weight))
+            for stressed in (False, True))
+        err = float(np.max([err0, err1]))  # NaN if either is
+        print(f"{variant.value:<22}\tmax relative error {err:.3e}\t"
+              f"(initial {err0:.3e} in {name0}, stressed {err1:.3e} in {name1})")
         errors.append(err)
     worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     if not worst < args.tolerance:

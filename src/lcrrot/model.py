@@ -136,6 +136,11 @@ class ModelParams:
             t.zero_grad()
 
 
+def is_bias(name: str) -> bool:
+    """Whether the parameter of this ``ModelParams.named()`` name is a bias."""
+    return name.endswith(".b") or ".b_" in name
+
+
 def _init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
     # one draw per matrix yields the same numbers as one draw per gate, in gate order
     return LstmParams(

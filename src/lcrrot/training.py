@@ -36,7 +36,7 @@ from .embeddings import EmbeddingTable
 from .errors import CheckpointError, ConfigError, DomainError, ShapeError
 from .evalreport import predict_all
 from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
-                    init_params)
+                    init_params, is_bias)
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 3
@@ -88,8 +88,8 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 
 def l2_penalty(params: ModelParams, lam: float,
                include_biases: bool = True) -> Tensor:
-    return T.scale(T.sumsq(*(t for name, t in params.named() if include_biases
-                             or not (".b_" in name or name.endswith(".b")))), lam)
+    return T.scale(T.sumsq(*(t for name, t in params.named()
+                             if include_biases or not is_bias(name))), lam)
 
 
 def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float,

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from lcrrot import cli, evalreport, gradcheck, training
@@ -102,6 +103,32 @@ def test_ttest_command(tmp_path, capsys):
 def test_gradcheck_single_variant(capsys):
     assert run(["gradcheck", "--variant", "no_attention"]) == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_gradcheck_stressed_point():
+    """The stressed point moves every parameter and word vector of the example,
+    keeps 0-d biases as arrays, and leaves the initial point as it was."""
+    ex, table, params, _ = gradcheck.tiny_setup(Variant.LCR_ROT)
+    ex2, table2, stressed, _ = gradcheck.tiny_setup(Variant.LCR_ROT, stressed=True)
+    assert ex2 == ex
+    for (name, t), (_, s) in zip(params.named(), stressed.named()):
+        assert isinstance(s.data, np.ndarray) and s.data.shape == t.data.shape, name
+        if gradcheck.is_bias(name):
+            assert np.all(s.data != t.data) and np.all(np.abs(s.data - t.data) < 0.5), name
+        else:
+            np.testing.assert_array_equal(s.data, 10.0 * t.data, err_msg=name)
+    for token in ex.left + ex.target + ex.right:
+        assert not np.array_equal(table2.lookup(token), table.lookup(token))
+    again = gradcheck.tiny_setup(Variant.LCR_ROT)[2]
+    for (_, t), (_, a) in zip(params.named(), again.named()):
+        assert t.data.tobytes() == a.data.tobytes()
+
+
+def test_gradcheck_names_the_worst_parameter_at_both_points(capsys):
+    assert run(["gradcheck", "--variant", "lcr_rot"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("lcr_rot"))
+    assert "initial" in line and "stressed" in line
+    assert line.count(" in ") == 2
 
 
 def test_gradcheck_variant_from_config_file(tmp_path, capsys):
