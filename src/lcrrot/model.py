@@ -14,8 +14,9 @@ pass and the classifier width. ``no_target_learned`` also has no center
 Bi-LSTM: its target query is the mean of the raw target embeddings.
 
 ``forward`` runs a list of examples as one batch: each segment is embedded
-into a zero-padded [B, n, d] block with its lengths, each LSTM direction is
-one packed ``tensor.lstm_sequence`` node over the whole batch, pooling is a
+into a zero-padded [B, n, d] block with its lengths, each Bi-LSTM is one
+packed ``tensor.bilstm_sequence`` node over the whole batch, both
+directions in one step loop over stacked weights, pooling is a
 masked mean, and attention a masked softmax over stacks of row vectors
 [B, 1, h], so an empty context still gives a zero vector. One example runs
 as a batch of one, and its result is squeezed to one example's shapes;
@@ -93,17 +94,13 @@ def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
 
 
 @dataclass
-class LstmParams:
-    """One LSTM direction; gate rows stacked as input, forget, output, candidate."""
-    w: Tensor  # [4 d_h, d]
-    u: Tensor  # [4 d_h, d_h]
-    b: Tensor  # [4 d_h]
-
-
-@dataclass
 class BiLstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
+    """Both directions of a Bi-LSTM, stacked: slice 0 is forward, slice 1
+    backward, and each stacks its gate rows as input, forget, output,
+    candidate."""
+    w: Tensor  # [2, 4 d_h, d]
+    u: Tensor  # [2, 4 d_h, d_h]
+    b: Tensor  # [2, 4 d_h]
 
 
 @dataclass
@@ -123,9 +120,8 @@ class ModelParams:
         if self.center is not None:
             encoders.append(("center", self.center))
         for enc_name, enc in encoders:
-            for dir_name, p in (("fwd", enc.fwd), ("bwd", enc.bwd)):
-                for f in fields(LstmParams):
-                    yield f"{enc_name}.{dir_name}.{f.name}", getattr(p, f.name)
+            for f in fields(BiLstmParams):
+                yield f"{enc_name}.{f.name}", getattr(enc, f.name)
         for name in sorted(self.attention):
             yield f"attention.{name}", self.attention[name]
         yield "clf.w", self.clf_w
@@ -141,16 +137,14 @@ def is_bias(name: str) -> bool:
     return name.endswith(".b") or ".b_" in name
 
 
-def _init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
-    # one draw per matrix yields the same numbers as one draw per gate, in gate order
-    return LstmParams(
-        w=Tensor(rng.uniform(-0.1, 0.1, (4 * d_h, d_in)), requires_grad=True),
-        u=Tensor(rng.uniform(-0.1, 0.1, (4 * d_h, d_h)), requires_grad=True),
-        b=Tensor(np.zeros(4 * d_h), requires_grad=True))
-
-
-def _init_bilstm(d_in, d_h, rng) -> BiLstmParams:
-    return BiLstmParams(fwd=_init_lstm(d_in, d_h, rng), bwd=_init_lstm(d_in, d_h, rng))
+def _init_bilstm(d_in: int, d_h: int, rng: np.random.Generator) -> BiLstmParams:
+    w, u = np.empty((2, 4 * d_h, d_in)), np.empty((2, 4 * d_h, d_h))
+    for k in range(2):  # forward w, forward u, backward w, backward u
+        # one draw per matrix yields the same numbers as one draw per gate, in gate order
+        w[k] = rng.uniform(-0.1, 0.1, w.shape[1:])
+        u[k] = rng.uniform(-0.1, 0.1, u.shape[1:])
+    return BiLstmParams(w=Tensor(w, requires_grad=True), u=Tensor(u, requires_grad=True),
+                        b=Tensor(np.zeros((2, 4 * d_h)), requires_grad=True))
 
 
 def init_params(dims: Dimensions, cfg: VariantConfig,
@@ -191,14 +185,12 @@ def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
     lengths[j] rows, into hidden states [B, n, 2*d_h], zero at padding.
 
     Position i concatenates the forward state after tokens 1..i with the
-    backward state after tokens n..i. Returns None when no sequence has a
-    token.
+    backward state after tokens n..i, both from one ``T.bilstm_sequence``
+    node. Returns None when no sequence has a token.
     """
     if embedded.shape[1] == 0:
         return None
-    x = Tensor(embedded)
-    return T.concat([T.lstm_sequence(x, p.fwd.w, p.fwd.u, p.fwd.b, lengths),
-                     T.lstm_sequence(x, p.bwd.w, p.bwd.u, p.bwd.b, lengths, reverse=True)])
+    return T.bilstm_sequence(Tensor(embedded), p.w, p.u, p.b, lengths)
 
 
 def pool_target(hidden: Optional[Tensor], lengths: np.ndarray) -> Tensor:

@@ -387,105 +387,120 @@ def _packing(key: bytes):
     that they are a prefix of the sorted batch.
 
     Returns the first packed row of every step (and the row count at the
-    end), then for every packed row its sequence, its step (the position it
-    holds when read forward), its rank in the sorted batch and the position
-    it holds when read in reverse. Both directions of an encoder share one
-    packing; the arrays are read-only.
+    end), then for every packed row its sequence, its positions [2, rows]
+    (the row it reads forward, which is its step, then the row it reads in
+    reverse) and its rank in the sorted batch. The arrays are read-only.
     """
     lengths = np.frombuffer(key, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(max(lengths.tolist(), default=0) + 1)
     step, rank = np.nonzero(steps[:-1, None] < lengths[order])  # step by step, longest first
     seq = order[rank]
-    reverse_pos = lengths[seq] - 1 - step
-    for arr in (seq, reverse_pos, step, rank):
+    pos = np.stack([step, lengths[seq] - 1 - step])
+    for arr in (seq, pos, rank):
         arr.setflags(write=False)
-    return tuple(np.searchsorted(step, steps).tolist()), seq, step, rank, reverse_pos
+    return tuple(np.searchsorted(step, steps).tolist()), seq, pos, rank
 
 
-def lstm_sequence(x, w, u, b, lengths, reverse: bool = False) -> Tensor:
-    """One LSTM direction from a zero state, as one node.
+def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
+    """Both directions of a Bi-LSTM from a zero state, as one node.
 
     x is a zero-padded batch [B, n, d] whose sequence j is its first
-    lengths[j] rows. w [4d_h, d], u [4d_h, d_h] and b [4d_h] stack the gates
-    as input, forget, output, candidate. Returns h [B, n, d_h], zero at
-    padding; with ``reverse`` each sequence is read from its last row, and
-    row i is still the state after reading row i.
+    lengths[j] rows. w [2, 4d_h, d], u [2, 4d_h, d_h] and b [2, 4d_h] hold
+    the forward direction in slice 0 and the backward one in slice 1, each
+    stacking its gates as input, forget, output, candidate. Returns
+    [B, n, 2d_h], zero at padding: row i is the forward state after reading
+    rows 0..i, then the backward state after reading the sequence's rows
+    from its last one down to i.
 
     The rows run packed (``_packing``): the k_t sequences still running at
-    step t are a prefix of the packed rows of step t - 1, so a step is one
-    [k_t, d_h]·[d_h, 4d_h] product, the weight gradients are one product
-    over every real row each, and padding is never computed or stored.
+    step t are a prefix of the packed rows of step t - 1, and the backward
+    direction takes the same steps, reading each sequence from its end. So
+    a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h], the input
+    projection and each weight gradient are one stacked product over every
+    real row, and padding is never computed or stored.
     """
     x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
-    lengths = _batch_lengths(x, lengths, "lstm_sequence")
+    lengths = _batch_lengths(x, lengths, "bilstm_sequence")
     d_h = u.data.shape[-1]
-    if w.data.shape != (4 * d_h, x.data.shape[-1]) or u.data.shape != (4 * d_h, d_h) \
-            or b.data.shape != (4 * d_h,):
-        raise ShapeError(f"lstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
-    starts, seq, step, rank, reverse_pos = _packing(lengths.tobytes())
-    pos = reverse_pos if reverse else step
+    if w.data.shape != (2, 4 * d_h, x.data.shape[-1]) or u.data.shape != (2, 4 * d_h, d_h) \
+            or b.data.shape != (2, 4 * d_h):
+        raise ShapeError(f"bilstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
+    starts, seq, pos, rank = _packing(lengths.tobytes())
+    batch = x.data.shape[:2]
+    side = np.arange(2)[:, None]  # the direction of each packed row
 
-    def unpack(rows):
-        out = np.zeros(x.data.shape[:2] + rows.shape[1:])
-        out[seq, pos] = rows
-        return out
+    def pack(a):  # [B, n, 2 d_h] -> [2, rows, d_h], each direction in packed order
+        return a.reshape(*batch, 2, -1)[seq, pos, side]
 
-    xs = x.data[seq, pos]
-    # The input projection of every row in one GEMM. Each step adds u·h to its
-    # rows and turns them into the gate values in place: i, f, o after the
-    # sigmoid, g after tanh.
-    gates = xs @ w.data.T
-    gates += b.data
-    cells, hs = np.empty((len(xs), d_h)), np.empty((len(xs), d_h))
-    u_t, prev = u.data.T, None
+    # The input projection of every row in one stacked GEMM. Each step adds
+    # u·h to its rows and turns them into the gate values in place with one
+    # tanh: g = tanh(z), and i, f, o = sigmoid(z) = (1 + tanh(z / 2)) / 2, their
+    # pre-activations halved beforehand by halving their rows of w, u and b,
+    # which is exact.
+    gates = x.data[seq, pos] @ w.data.swapaxes(1, 2)
+    gates += b.data[:, None]
+    gates[..., :3 * d_h] *= 0.5
+    u_t = u.data.swapaxes(1, 2).copy()
+    u_t[..., :3 * d_h] *= 0.5
+    cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
+    prev = None
     for lo, hi in zip(starts[:-1], starts[1:]):
-        z = gates[lo:hi]
+        z = gates[:, lo:hi]
         if prev is not None:
-            z += hs[prev:prev + hi - lo] @ u_t
-        z[:, :3 * d_h] = _logistic(z[:, :3 * d_h])
-        np.tanh(z[:, 3 * d_h:], out=z[:, 3 * d_h:])
-        i, f, o, g = z.reshape(hi - lo, 4, d_h).swapaxes(0, 1)
-        c = cells[lo:hi]
+            z += hs[:, prev:prev + hi - lo] @ u_t
+        np.tanh(z, out=z)
+        s = z[..., :3 * d_h]
+        s *= 0.5
+        s += 0.5
+        i, f, o, g = z.reshape(2, hi - lo, 4, d_h).transpose(2, 0, 1, 3)
+        c = cells[:, lo:hi]
         np.multiply(i, g, out=c)
         if prev is not None:
-            c += f * cells[prev:prev + hi - lo]
-        np.multiply(o, np.tanh(c), out=hs[lo:hi])
+            c += f * cells[:, prev:prev + hi - lo]
+        np.multiply(o, np.tanh(c), out=hs[:, lo:hi])
         prev = lo
-    out = unpack(hs)
-    del xs, hs  # backward packs them again from x and out: less to keep until then
+    out = np.zeros((*batch, 2, d_h))
+    out[seq, pos, side] = hs
+    out = out.reshape(*batch, 2 * d_h)
+    del hs  # backward packs it again from out: less to keep until then
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        dh_out, tanh_c = grad[seq, pos], np.tanh(cells)
+        dh_out, tanh_c = pack(grad), np.tanh(cells)
         dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
         dz *= gates
-        dz[:, 3 * d_h:] = 1.0 - gates[:, 3 * d_h:] ** 2
+        dz[..., 3 * d_h:] = 1.0 - gates[..., 3 * d_h:] ** 2
         dh_next = dc_next = None  # carried to the k_t running sequences of step t - 1
         for t in range(len(starts) - 2, -1, -1):
             lo, hi = starts[t], starts[t + 1]
             k = hi - lo
-            i, f, o, g = gates[lo:hi].reshape(k, 4, d_h).swapaxes(0, 1)
-            dh = dh_out[lo:hi].copy()
+            i, f, o, g = gates[:, lo:hi].reshape(2, k, 4, d_h).transpose(2, 0, 1, 3)
+            dh = dh_out[:, lo:hi]  # each step reads its rows once, so they can be added to
             if dh_next is not None:
-                dh[:len(dh_next)] += dh_next
-            dc = dh * o * (1.0 - tanh_c[lo:hi] ** 2)
+                dh[:, :dh_next.shape[1]] += dh_next
+            dc = dh * o * (1.0 - tanh_c[:, lo:hi] ** 2)
             if dc_next is not None:
-                dc[:len(dc_next)] += dc_next
-            c_prev = cells[starts[t - 1]:starts[t - 1] + k] if t else 0.0
-            dz[lo:hi] *= np.concatenate([dc * g, dc * c_prev, dh * tanh_c[lo:hi], dc * i], axis=1)
+                dc[:, :dc_next.shape[1]] += dc_next
+            c_prev = cells[:, starts[t - 1]:starts[t - 1] + k] if t else 0.0
+            dz[:, lo:hi] *= np.concatenate([dc * g, dc * c_prev, dh * tanh_c[:, lo:hi], dc * i],
+                                           axis=-1)
             if t:
-                dc_next, dh_next = dc * f, dz[lo:hi] @ u.data
+                dc_next, dh_next = dc * f, dz[:, lo:hi] @ u.data
         if w.requires_grad:
-            w._accumulate(dz.T @ x.data[seq, pos])
+            w._accumulate(dz.swapaxes(1, 2) @ x.data[seq, pos])
         if u.requires_grad:
             # the state each row after step 0 read: its sequence's row of the step before
             first = starts[1] if len(starts) > 1 else 0
-            prev = np.asarray(starts)[step[first:] - 1] + rank[first:]
-            u._accumulate(dz[first:].T @ out[seq[prev], pos[prev]])
+            prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
+            u._accumulate(dz[:, first:].swapaxes(1, 2) @ pack(out)[:, prev])
         if b.requires_grad:
-            b._accumulate(dz.sum(axis=0))
+            b._accumulate(dz.sum(axis=1))
         if x.requires_grad:
-            x._accumulate(unpack(dz @ w.data))
+            dxs = dz @ w.data
+            dx = np.zeros(x.data.shape)
+            dx[seq, pos[0]] = dxs[0]
+            dx[seq, pos[1]] += dxs[1]
+            x._accumulate(dx)
 
     return _make(out, (x, w, u, b), backward)

@@ -12,11 +12,14 @@ batch of one. Dropout draws one [B, v] mask per batch, the same numbers as
 one draw per example. Accuracy passes use ``evalreport.predict_all``, which
 runs chunks of examples without recording a graph.
 
-Checkpoint format 3: one JSON line holding ``format_version``, ``variant``,
+Checkpoint format 4: one JSON line holding ``format_version``, ``variant``,
 ``hyperparams``, ``dims`` and the parameter names (``params``, in
-``ModelParams.named()`` order), then one raw ``.npy`` record per parameter,
-so the round trip is bit-exact. Saves write ``<path>.tmp`` and rename it
-into place, so a failed save leaves an earlier file at ``path`` intact.
+``ModelParams.named()`` order: ``left.w``, ``left.u``, ``left.b``, ...,
+each Bi-LSTM's directions stacked in one array), then one raw ``.npy``
+record per parameter, so the round trip is bit-exact. Earlier formats
+are rejected: 3, with one record per direction (``left.fwd.w``, ...), and
+the JSON formats 1 and 2. Saves write ``<path>.tmp`` and rename it into
+place, so a failed save leaves an earlier file at ``path`` intact.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
                     init_params, is_bias)
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 LOG_EPS = 1e-12  # floor inside log() so a saturated softmax cannot yield -inf
 
 

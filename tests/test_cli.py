@@ -332,12 +332,29 @@ def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+ENCODERS = ("left", "right", "center")
+
+
+def per_direction(params):
+    """The parameters as formats 2 and 3 named and stored them: one array per
+    LSTM direction (left.fwd.w, left.fwd.u, left.fwd.b, left.bwd.w, ...)."""
+    arrays = {}
+    for enc in ENCODERS:
+        p = getattr(params, enc)
+        for k, direction in enumerate(("fwd", "bwd") if p is not None else ()):
+            for kind in "wub":
+                arrays[f"{enc}.{direction}.{kind}"] = getattr(p, kind).data[k]
+    arrays.update((name, t.data) for name, t in params.named()
+                  if name.split(".")[0] not in ENCODERS)
+    return arrays
+
+
 def json_checkpoint_docs(path):
     """The JSON documents that versions 2 (stacked gates) and 1 (one entry
     per gate, e.g. left.fwd.w_i) would have written for the model at path."""
     params, cfg, hp = training.load_checkpoint(path)
-    stacked = {name: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
-               for name, t in params.named()}
+    stacked = {name: {"shape": list(a.shape), "values": a.ravel().tolist()}
+               for name, a in per_direction(params).items()}
     per_gate = {}
     for name, entry in stacked.items():
         prefix, kind = name.rsplit(".", 1)
@@ -367,6 +384,28 @@ def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys
         capsys.readouterr()
         assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_format_3_checkpoint_is_rejected(corpus_file, tmp_path, capsys):
+    """Format 3 stored each LSTM direction as its own record (left.fwd.w, ...);
+    format 4 stacks them (left.w), so a format-3 file is refused, not misread."""
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    params, cfg, hp = training.load_checkpoint(tmp_path / "model.ckpt")
+    arrays = per_direction(params)
+    header = {"format_version": 3, "variant": cfg.variant.value,
+              "hyperparams": dataclasses.asdict(hp), "dims": dataclasses.asdict(params.dims),
+              "params": list(arrays)}
+    old = tmp_path / "v3.ckpt"
+    with open(old, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for a in arrays.values():
+            np.save(fh, a, allow_pickle=False)
+    with pytest.raises(CheckpointError, match="version 3"):
+        training.load_checkpoint(old)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "version 3" in err[0]
 
 
 def test_truncated_checkpoint_is_data_error(corpus_file, tmp_path, capsys):

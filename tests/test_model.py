@@ -13,38 +13,47 @@ from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           pool_target, sentence_vector_dim)
 from lcrrot.tensor import Tensor
 from lcrrot.training import batch_loss, cross_entropy, l2_penalty, loss
+from lstm_oracle import two_node_bilstm
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def stacked_lstm(d, d_h, draw):
-    return M.LstmParams(w=Tensor(draw((4 * d_h, d))), u=Tensor(draw((4 * d_h, d_h))),
-                        b=Tensor(draw(4 * d_h)))
+def stacked_bilstm(d, d_h, draw):
+    """Bi-LSTM parameters: direction k (0 forward, 1 backward) is slice k."""
+    return M.BiLstmParams(w=Tensor(draw((2, 4 * d_h, d))), u=Tensor(draw((2, 4 * d_h, d_h))),
+                          b=Tensor(draw((2, 4 * d_h))))
 
 
-def zero_lstm(d, d_h):
-    return stacked_lstm(d, d_h, np.zeros)
+def zero_bilstm(d, d_h):
+    return stacked_bilstm(d, d_h, np.zeros)
 
 
-def random_lstm(d, d_h, g):
-    return stacked_lstm(d, d_h, lambda shape: g.uniform(-0.5, 0.5, shape))
+def random_bilstm(d, d_h, g):
+    return stacked_bilstm(d, d_h, lambda shape: g.uniform(-0.5, 0.5, shape))
+
+
+def direction(bp, k):
+    """Direction k of a Bi-LSTM as its (w, u, b) arrays."""
+    return bp.w.data[k], bp.u.data[k], bp.b.data[k]
 
 
 def lstm_step_oracle(x, h, c, p):
-    """Scalar-arithmetic reference for one LSTM cell update.
+    """Scalar-arithmetic reference for one LSTM cell update; p is one
+    direction's (w, u, b).
 
     Gate k (input, forget, output, candidate) of unit j is row k*d_h + j
     of the stacked w, u and b.
     """
     d_h = len(h)
+    w, u, b = p
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
 
     def pre(k, j):
         r = k * d_h + j
-        return sum(p.w.data[r, m] * x[m] for m in range(len(x))) + \
-            sum(p.u.data[r, m] * h[m] for m in range(d_h)) + p.b.data[r]
+        return sum(w[r, m] * x[m] for m in range(len(x))) + \
+            sum(u[r, m] * h[m] for m in range(d_h)) + b[r]
 
     h_new, c_new = np.zeros(d_h), np.zeros(d_h)
     for j in range(d_h):
@@ -54,8 +63,9 @@ def lstm_step_oracle(x, h, c, p):
     return h_new, c_new
 
 
-def run_lstm(xs, p):
-    return T.lstm_sequence(Tensor(xs[None]), p.w, p.u, p.b, [len(xs)]).data[0]
+def run_lstm(xs, bp):
+    """The forward direction of bp over one sequence: [n, d_h]."""
+    return encode_one(xs, bp)[:, :bp.u.data.shape[-1]]
 
 
 def encode_one(x, bp):
@@ -66,46 +76,47 @@ def encode_one(x, bp):
 class TestLstmStep:
     def test_all_zero_parameters(self):
         # o = 1/2 everywhere, so h = 0 means c = 0 too
-        h = run_lstm(rng().uniform(-1, 1, (3, 3)), zero_lstm(3, 2))
+        h = run_lstm(rng().uniform(-1, 1, (3, 3)), zero_bilstm(3, 2))
         np.testing.assert_array_equal(h, np.zeros((3, 2)))
 
     def test_output_strictly_inside_unit_interval(self):
         g = rng(1)
-        h = run_lstm(g.uniform(-2, 2, (5, 3)), random_lstm(3, 4, g))
+        h = run_lstm(g.uniform(-2, 2, (5, 3)), random_bilstm(3, 4, g))
         assert np.all(np.abs(h) < 1.0)
 
     def test_matches_scalar_arithmetic_oracle(self):
         # steps after the first start from the nonzero state the oracle carries
         g = rng(2)
-        p = random_lstm(2, 2, g)
+        bp = random_bilstm(2, 2, g)
         xs = g.uniform(-1, 1, (3, 2))
         h, c = np.zeros(2), np.zeros(2)
         expected = []
         for x in xs:
-            h, c = lstm_step_oracle(x, h, c, p)
+            h, c = lstm_step_oracle(x, h, c, direction(bp, 0))
             expected.append(h)
-        np.testing.assert_allclose(run_lstm(xs, p), expected, atol=1e-12)
+        np.testing.assert_allclose(run_lstm(xs, bp), expected, atol=1e-12)
 
 
 class TestEncodeBilstm:
     def test_single_token(self):
         g = rng(3)
-        bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
+        bp = random_bilstm(3, 2, g)
         x = g.uniform(-1, 1, (1, 3))
         out = encode_one(x, bp)
-        fh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.fwd)
-        bh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), bp.bwd)
+        fh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), direction(bp, 0))
+        bh, _ = lstm_step_oracle(x[0], np.zeros(2), np.zeros(2), direction(bp, 1))
         np.testing.assert_allclose(out[0], np.concatenate([fh, bh]), atol=1e-12)
 
     def test_empty_sequence(self):
         g = rng(3)
-        bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
+        bp = random_bilstm(3, 2, g)
         assert encode_bilstm(np.zeros((1, 0, 3)), bp, np.array([0])) is None
 
     def test_reversal_swaps_directions(self):
         g = rng(4)
-        p = random_lstm(3, 2, g)
-        bp = M.BiLstmParams(fwd=p, bwd=p)  # shared weights make the symmetry exact
+        p = random_bilstm(3, 2, g)
+        # shared weights make the symmetry exact
+        bp = M.BiLstmParams(*(Tensor(np.stack([t.data[0]] * 2)) for t in (p.w, p.u, p.b)))
         x = g.uniform(-1, 1, (4, 3))
         fwd_out = encode_one(x, bp)
         rev_out = encode_one(x[::-1].copy(), bp)
@@ -115,19 +126,19 @@ class TestEncodeBilstm:
 
     def test_matches_two_pass_oracle(self):
         g = rng(5)
-        bp = M.BiLstmParams(fwd=random_lstm(3, 2, g), bwd=random_lstm(3, 2, g))
+        bp = random_bilstm(3, 2, g)
         x = g.uniform(-1, 1, (3, 3))
         out = encode_one(x, bp)
         # independent scalar-loop passes
         h, c = np.zeros(2), np.zeros(2)
         fwd = []
         for i in range(3):
-            h, c = lstm_step_oracle(x[i], h, c, bp.fwd)
+            h, c = lstm_step_oracle(x[i], h, c, direction(bp, 0))
             fwd.append(h)
         h, c = np.zeros(2), np.zeros(2)
         bwd = [None] * 3
         for i in reversed(range(3)):
-            h, c = lstm_step_oracle(x[i], h, c, bp.bwd)
+            h, c = lstm_step_oracle(x[i], h, c, direction(bp, 1))
             bwd[i] = h
         for i in range(3):
             np.testing.assert_allclose(out[i], np.concatenate([fwd[i], bwd[i]]),
@@ -150,25 +161,26 @@ INIT_LAYOUT = {
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_init_params_stack_per_gate_draws(variant):
-    """One draw per stacked matrix equals four per-gate draws, in gate order;
-    then the attention matrices and the classifier, in a fixed order. The
-    names and shapes are the checkpoint's ``params`` header."""
+    """One draw per direction's matrix equals four per-gate draws, in gate
+    order, and the directions' slices are drawn as separate matrices were
+    (forward w, forward u, backward w, backward u); then the attention
+    matrices and the classifier, in a fixed order. The names and shapes are
+    the checkpoint's ``params`` header."""
     d, d_h = 4, 3
     encoders, attention, v_dim = INIT_LAYOUT[variant]
     params = init_params(Dimensions(d=d, d_h=d_h), VariantConfig(variant), rng(12))
     g = rng(12)
     expected = []
     for enc in encoders:
-        for direction in ("fwd", "bwd"):
-            p = getattr(getattr(params, enc), direction)
+        p = getattr(params, enc)
+        for k in range(2):  # forward w and u, then backward w and u
             w = np.vstack([g.uniform(-0.1, 0.1, (d_h, d)) for _ in range(4)])
             u = np.vstack([g.uniform(-0.1, 0.1, (d_h, d_h)) for _ in range(4)])
-            assert p.w.data.tobytes() == w.tobytes()
-            assert p.u.data.tobytes() == u.tobytes()
-            np.testing.assert_array_equal(p.b.data, np.zeros(4 * d_h))
-            name = f"{enc}.{direction}"
-            expected += [(f"{name}.w", (4 * d_h, d)), (f"{name}.u", (4 * d_h, d_h)),
-                         (f"{name}.b", (4 * d_h,))]
+            assert p.w.data[k].tobytes() == w.tobytes()
+            assert p.u.data[k].tobytes() == u.tobytes()
+        np.testing.assert_array_equal(p.b.data, np.zeros((2, 4 * d_h)))
+        expected += [(f"{enc}.w", (2, 4 * d_h, d)), (f"{enc}.u", (2, 4 * d_h, d_h)),
+                     (f"{enc}.b", (2, 4 * d_h))]
     for name, shape in attention.items():
         assert params.attention[name].data.tobytes() == g.uniform(-0.1, 0.1, shape).tobytes()
         assert params.attention["b" + name[1:]].data == 0.0
@@ -400,12 +412,12 @@ class TestForward:
             h, c = np.zeros(d_h), np.zeros(d_h)
             fwd = []
             for i in range(n):
-                h, c = lstm_step_oracle(x[i], h, c, bp.fwd)
+                h, c = lstm_step_oracle(x[i], h, c, direction(bp, 0))
                 fwd.append(h)
             h, c = np.zeros(d_h), np.zeros(d_h)
             bwd = [None] * n
             for i in reversed(range(n)):
-                h, c = lstm_step_oracle(x[i], h, c, bp.bwd)
+                h, c = lstm_step_oracle(x[i], h, c, direction(bp, 1))
                 bwd[i] = h
             return np.array([np.concatenate([f, b]) for f, b in zip(fwd, bwd)]).reshape(n, 2 * d_h)
 
@@ -508,3 +520,57 @@ class TestBatchedForward:
         table, params, cfg = make_setup(Variant.LCR_ROT)
         with pytest.raises(DomainError):
             forward([], table, params, cfg)
+
+
+def two_node_encoder(leaves):
+    """``encode_bilstm`` as it ran before the directions were fused: two
+    ``lstm_sequence`` nodes and a concat, over leaves of their own that copy
+    the stacked slices. leaves maps id(p) to [(fwd w, u, b), (bwd w, u, b)]."""
+    def encode(embedded, p, lengths):
+        if embedded.shape[1] == 0:
+            return None
+        fwd, bwd = leaves.setdefault(id(p), [
+            tuple(Tensor(t.data[k].copy(), requires_grad=True) for t in (p.w, p.u, p.b))
+            for k in range(2)])
+        return two_node_bilstm(Tensor(embedded), fwd, bwd, lengths)
+    return encode
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_fused_encoder_matches_two_node_path(variant, batch, monkeypatch):
+    """The same parameters through one bilstm_sequence node per encoder and
+    through two lstm_sequence nodes: the same probabilities, and every
+    gradient the same, the encoders' slice by slice against fwd.* and bwd.*."""
+    table, params, cfg = make_setup(variant, seed=13)
+    g = rng(13)
+    for _, t in params.named():  # nonzero biases, so every gate sees one
+        if t.data.ndim < 2:
+            t.data = g.uniform(-0.5, 0.5, t.data.shape)
+    examples = batch_examples(BATCHES[batch])
+    labels = [ex.label_index for ex in examples]
+
+    fused = forward(examples, table, params, cfg)
+    params.zero_grad()
+    batch_loss(fused.probs, labels, params, lam=0.0).backward()
+    grads = {name: t.grad.copy() for name, t in params.named()}
+
+    leaves = {}
+    monkeypatch.setattr(M, "encode_bilstm", two_node_encoder(leaves))
+    ref = forward(examples, table, params, cfg)
+    params.zero_grad()
+    batch_loss(ref.probs, labels, params, lam=0.0).backward()
+
+    np.testing.assert_allclose(fused.probs.data, ref.probs.data, rtol=0, atol=1e-12)
+    for name, t in params.named():
+        enc, field = name.split(".")
+        p = getattr(params, enc, None)
+        if not isinstance(p, M.BiLstmParams):
+            np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-10, err_msg=name)
+        elif id(p) not in leaves:  # a segment empty in every example: no encoder ran
+            assert not grads[name].any(), name
+        else:
+            for k, d_name in enumerate(("fwd", "bwd")):
+                leaf = leaves[id(p)][k]["wub".index(field)]
+                np.testing.assert_allclose(grads[name][k], leaf.grad, rtol=0, atol=1e-10,
+                                           err_msg=f"{enc}.{d_name}.{field}")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcrrot import tensor as T
 from lcrrot.errors import DomainError, ShapeError
 from lcrrot.tensor import Tensor
+from lstm_oracle import two_node_bilstm
 
 
 def rng(seed=0):
@@ -376,7 +377,32 @@ def lstm_case(seed, n, d=5, d_h=3):
             g.uniform(-1, 1, (n, d_h)))
 
 
+def one_direction(w, u, b, reverse, seed=99):
+    """Stacked Bi-LSTM leaves whose slice for the direction ``reverse`` names
+    (0 forward, 1 backward) holds w, u and b, and whose other slice holds
+    other random weights."""
+    g = rng(seed)
+    leaves = []
+    for a in (w, u, b):
+        stacked = g.uniform(-0.5, 0.5, (2, *a.shape))
+        stacked[int(reverse)] = a
+        leaves.append(Tensor(stacked, requires_grad=True))
+    return leaves
+
+
+def on_half(weights, reverse):
+    """Loss weights [..., d_h] placed on the half of a Bi-LSTM output [..., 2d_h]
+    that the direction ``reverse`` names, doubled, so that the mean over the
+    whole output equals the mean over that half; 0 on the other half."""
+    zero = np.zeros(weights.shape)
+    return np.concatenate([zero, 2 * weights] if reverse else [2 * weights, zero], axis=-1)
+
+
 class TestLstmSequence:
+    """``bilstm_sequence``, one direction at a time: ``reverse`` names the
+    slice that holds the case's weights and the half of the output the loss
+    reads."""
+
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 15])
     def test_matches_per_step_graph(self, n, reverse):
@@ -384,42 +410,55 @@ class TestLstmSequence:
         ref, (x_rows, ws, us, bs) = per_step_lstm(xs, w, u, b, reverse)
         T.tmean(T.mul(ref, Tensor(weights))).backward()
 
-        leaves = [Tensor(a, requires_grad=True) for a in (xs[None], w, u, b)]
-        out = T.lstm_sequence(*leaves, [n], reverse=reverse)
-        T.tmean(T.mul(out, Tensor(weights[None]))).backward()
+        x = Tensor(xs[None], requires_grad=True)
+        leaves = one_direction(w, u, b, reverse)
+        out = T.bilstm_sequence(x, *leaves, [n])
+        T.tmean(T.mul(out, Tensor(on_half(weights, reverse)[None]))).backward()
 
-        np.testing.assert_allclose(out.data[0], ref.data, rtol=0, atol=1e-12)
-        for got, parts in zip(leaves, (x_rows, ws, us, bs)):
-            expected = np.stack([p.grad for p in parts])[None] if got is leaves[0] \
-                else np.concatenate([p.grad for p in parts])
-            np.testing.assert_allclose(got.grad, expected, rtol=0, atol=1e-10)
+        d_h = u.shape[1]
+        half = out.data[0, :, d_h:] if reverse else out.data[0, :, :d_h]
+        np.testing.assert_allclose(half, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, np.stack([p.grad for p in x_rows])[None],
+                                   rtol=0, atol=1e-10)
+        for got, parts in zip(leaves, (ws, us, bs)):
+            np.testing.assert_allclose(got.grad[int(reverse)],
+                                       np.concatenate([p.grad for p in parts]),
+                                       rtol=0, atol=1e-10)
+            assert not got.grad[1 - int(reverse)].any()  # the other half is not read
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_central_differences(self, reverse):
         xs, w, u, b, weights = lstm_case(20, 4)
-        leaves = [Tensor(a, requires_grad=True) for a in (xs[None], w, u, b)]
+        leaves = [Tensor(xs[None], requires_grad=True), *one_direction(w, u, b, reverse)]
+        # both halves read, the named one more heavily
+        scale = Tensor(on_half(weights, reverse)[None] + 0.1)
 
         def build():
-            out = T.lstm_sequence(*leaves, [4], reverse=reverse)
-            return T.tmean(T.mul(T.tanh(out), Tensor(weights[None])))
+            return T.tmean(T.mul(T.tanh(T.bilstm_sequence(*leaves, [4])), scale))
 
         _fd_check(build, leaves)
 
     def test_constant_input_gets_no_gradient(self):
         xs, w, u, b, _ = lstm_case(21, 3)
         x = Tensor(xs[None])
-        wt = Tensor(w, requires_grad=True)
-        T.tmean(T.lstm_sequence(x, wt, Tensor(u), Tensor(b), [3])).backward()
+        wt, ut, bt = one_direction(w, u, b, False)
+        ut.requires_grad = bt.requires_grad = False
+        T.tmean(T.bilstm_sequence(x, wt, ut, bt, [3])).backward()
         assert x.grad is None and wt.grad is not None
+        assert ut.grad is None and bt.grad is None
 
     def test_shape_mismatch(self):
         xs, w, u, b, _ = lstm_case(22, 3)
+        x = Tensor(xs[None])
+        wt, ut, bt = one_direction(w, u, b, False)
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w[:, :-1]), Tensor(u), Tensor(b), [3])
+            T.bilstm_sequence(x, Tensor(wt.data[..., :-1]), ut, bt, [3])
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b[:-1]), [3])
+            T.bilstm_sequence(x, wt, ut, Tensor(bt.data[:, :-1]), [3])
         with pytest.raises(ShapeError):  # one sequence without its batch axis
-            T.lstm_sequence(Tensor(xs), Tensor(w), Tensor(u), Tensor(b), [3])
+            T.bilstm_sequence(Tensor(xs), wt, ut, bt, [3])
+        with pytest.raises(ShapeError):  # one direction's weights, not stacked
+            T.bilstm_sequence(x, Tensor(w), Tensor(u), Tensor(b), [3])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_batch_matches_single_sequences(self, reverse):
@@ -427,27 +466,28 @@ class TestLstmSequence:
         lengths = [4, 0, 7, 1, 7, 3]
         d, d_h, width = 5, 3, 8  # one padded row more than the longest sequence
         w, u, b = (Tensor(g.uniform(-0.5, 0.5, shape), requires_grad=True)
-                   for shape in ((4 * d_h, d), (4 * d_h, d_h), 4 * d_h))
+                   for shape in ((2, 4 * d_h, d), (2, 4 * d_h, d_h), (2, 4 * d_h)))
         xs = g.uniform(-1, 1, (len(lengths), width, d))
-        weights = g.uniform(-1, 1, (len(lengths), width, d_h))
+        # both halves read, the named one more heavily
+        weights = on_half(g.uniform(-1, 1, (len(lengths), width, d_h)), reverse) + 0.1
 
         def weighted_sum(out, weights):
             return T.scale(T.tmean(T.mul(out, Tensor(weights))), out.data.size)
 
         # the batch's loss is the sum of the sequences' losses
-        expected_out = np.zeros((len(lengths), width, d_h))
+        expected_out = np.zeros((len(lengths), width, 2 * d_h))
         expected_dx = np.zeros(xs.shape)
         for j, n in enumerate(lengths):  # each sequence as a batch of one
             if n:
                 x = Tensor(xs[j:j + 1, :n], requires_grad=True)
-                out = T.lstm_sequence(x, w, u, b, [n], reverse=reverse)
+                out = T.bilstm_sequence(x, w, u, b, [n])
                 weighted_sum(out, weights[j:j + 1, :n]).backward()
                 expected_out[j, :n], expected_dx[j, :n] = out.data[0], x.grad[0]
         expected_grads = [t.grad for t in (w, u, b)]
         for t in (w, u, b):
             t.zero_grad()
         x = Tensor(xs, requires_grad=True)
-        out = T.lstm_sequence(x, w, u, b, lengths, reverse=reverse)
+        out = T.bilstm_sequence(x, w, u, b, lengths)
         weighted_sum(out, weights).backward()
 
         np.testing.assert_allclose(out.data, expected_out, rtol=0, atol=1e-12)
@@ -457,9 +497,49 @@ class TestLstmSequence:
 
     def test_lengths_longer_than_the_block_rejected(self):
         xs, w, u, b, _ = lstm_case(24, 3)
+        leaves = one_direction(w, u, b, False)
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [4])
+            T.bilstm_sequence(Tensor(xs[None]), *leaves, [4])
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [1, 2])
+            T.bilstm_sequence(Tensor(xs[None]), *leaves, [1, 2])
         with pytest.raises(ShapeError):
-            T.lstm_sequence(Tensor(xs[None]), Tensor(w), Tensor(u), Tensor(b), [-1])
+            T.bilstm_sequence(Tensor(xs[None]), *leaves, [-1])
+
+
+# lengths and block width of each batch, for the comparison with the two-node path
+TWO_NODE_BATCHES = {
+    "ragged": ([4, 0, 7, 1, 7, 3], 8),
+    "single": ([5], 5),
+    "length_one": ([1, 1, 0], 1),
+    "all_empty": ([0, 0], 2),
+}
+
+
+@pytest.mark.parametrize("batch", TWO_NODE_BATCHES)
+def test_bilstm_matches_two_node_path(batch):
+    """One fused node against the two lstm_sequence nodes and the concat it
+    replaced, on the same parameters: outputs within 1e-12, gradients within
+    1e-10, the stacked ones slice by slice against fwd.* and bwd.*."""
+    lengths, width = TWO_NODE_BATCHES[batch]
+    g = rng(25)
+    d, d_h = 5, 3
+    w, u, b = (Tensor(g.uniform(-0.5, 0.5, shape), requires_grad=True)
+               for shape in ((2, 4 * d_h, d), (2, 4 * d_h, d_h), (2, 4 * d_h)))
+    xs = g.uniform(-1, 1, (len(lengths), width, d))
+    weights = Tensor(g.uniform(-1, 1, (len(lengths), width, 2 * d_h)))
+
+    x = Tensor(xs, requires_grad=True)
+    out = T.bilstm_sequence(x, w, u, b, lengths)
+    T.tmean(T.mul(T.tanh(out), weights)).backward()
+
+    x_ref = Tensor(xs, requires_grad=True)
+    fwd, bwd = (tuple(Tensor(t.data[k].copy(), requires_grad=True) for t in (w, u, b))
+                for k in range(2))
+    ref = two_node_bilstm(x_ref, fwd, bwd, lengths)
+    T.tmean(T.mul(T.tanh(ref), weights)).backward()
+
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad, x_ref.grad, rtol=0, atol=1e-10)
+    for k, leaves in enumerate((fwd, bwd)):
+        for stacked, leaf in zip((w, u, b), leaves):
+            np.testing.assert_allclose(stacked.grad[k], leaf.grad, rtol=0, atol=1e-10)

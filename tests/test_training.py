@@ -68,11 +68,11 @@ class TestLoss:
         bumped = 0
         for name, t in params.named():
             # attention scalars (attention.b_cl, ...), stacked LSTM gate biases
-            # (left.fwd.b, ...) and the classifier bias
-            if ".b_" in name or name.endswith((".fwd.b", ".bwd.b", "clf.b")):
+            # (left.b, ..., both directions each) and the classifier bias
+            if ".b_" in name or name.endswith(".b"):
                 t.data = t.data + 1.0
                 bumped += 1
-        assert bumped == 6 + 4 + 1
+        assert bumped == 3 + 4 + 1
         assert float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data) > \
             float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
                        include_biases=False).data)
@@ -371,7 +371,7 @@ class TestCheckpoint:
         path.write_bytes({"empty": b"", "truncated": blob[:-7], "trailing": blob + b"\0",
                           "non_finite": blob, "renamed": edited, "reshaped": edited}[damage])
         reason = {"trailing": "trailing bytes", "non_finite": "clf.w is not a finite",
-                  "renamed": "names do not match", "reshaped": r"left.fwd.w .* shape \(8, 5\)"}
+                  "renamed": "names do not match", "reshaped": r"left.w .* shape \(2, 8, 5\)"}
         with pytest.raises(CheckpointError, match=reason.get(damage, "bad checkpoint")):
             load_checkpoint(path)
 
