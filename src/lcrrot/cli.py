@@ -291,6 +291,10 @@ def _cmd_viz(args) -> int:
         if not 0 <= idx < len(examples):
             raise DomainError(f"example index {idx} out of range (corpus has "
                               f"{len(examples)} examples)")
+    # the directory is made after the long loads; a path that cannot be one fails now
+    existing = next(p for p in (args.out_dir, *args.out_dir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{args.out_dir}: {existing} is not a directory")
     params, vcfg, hp = training.load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.dims.d, hp.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -103,7 +103,10 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
                 values = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: unparsable number ({exc})") from None
-            if not math.isfinite(sum(values)):  # NaN and inf carry through the sum
+            total = 0.0  # left to right, as the chunk's cumsum; 3.12's sum() compensates
+            for value in values:
+                total += value
+            if not math.isfinite(total):  # NaN and inf carry through the sum
                 raise FormatError(f"line {lineno}: non-finite value for {token!r}")
             table.rows.setdefault(token, np.array(values))
     return table

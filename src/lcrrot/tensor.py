@@ -14,8 +14,9 @@ freed before ``backward()`` returns. Leaf gradients stay. A second
 ``backward()`` through a consumed node raises instead of silently doubling
 or dropping gradients.
 
-Every op works on a batch, carried on the leading axis: ``lstm_sequence``
-runs a zero-padded batch of sequences in a packed layout, ``mean_rows`` and
+Every op works on a batch, carried on the leading axis: ``bilstm_sequence``
+runs both directions of a Bi-LSTM over a zero-padded batch of sequences in
+a packed layout, as one node with stacked weights, ``mean_rows`` and
 ``softmax`` take the batch's lengths or mask, and ``matmul`` follows
 ``np.matmul``, so a stack of row vectors [B, 1, k] goes through the
 products of attention and the classifier; one example is a batch of one.
@@ -407,18 +408,16 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
 
     x is a zero-padded batch [B, n, d] whose sequence j is its first
     lengths[j] rows. w [2, 4d_h, d], u [2, 4d_h, d_h] and b [2, 4d_h] hold
-    the forward direction in slice 0 and the backward one in slice 1, each
-    stacking its gates as input, forget, output, candidate. Returns
-    [B, n, 2d_h], zero at padding: row i is the forward state after reading
-    rows 0..i, then the backward state after reading the sequence's rows
-    from its last one down to i.
+    the forward direction in slice 0 and the backward one in slice 1, gates
+    stacked as input, forget, output, candidate. Returns [B, n, 2d_h], zero
+    at padding: row i is the forward state after reading rows 0..i, then
+    the backward state after reading the sequence from its end down to i.
 
     The rows run packed (``_packing``): the k_t sequences still running at
-    step t are a prefix of the packed rows of step t - 1, and the backward
-    direction takes the same steps, reading each sequence from its end. So
-    a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h], the input
-    projection and each weight gradient are one stacked product over every
-    real row, and padding is never computed or stored.
+    step t are a prefix of the packed rows of step t - 1, in both
+    directions. So a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h],
+    the input projection and each weight gradient are one stacked product
+    over every real row, and padding is never computed or stored.
     """
     x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
     lengths = _batch_lengths(x, lengths, "bilstm_sequence")
@@ -427,22 +426,14 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
             or b.data.shape != (2, 4 * d_h):
         raise ShapeError(f"bilstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
     starts, seq, pos, rank = _packing(lengths.tobytes())
-    batch = x.data.shape[:2]
-    side = np.arange(2)[:, None]  # the direction of each packed row
-
-    def pack(a):  # [B, n, 2 d_h] -> [2, rows, d_h], each direction in packed order
-        return a.reshape(*batch, 2, -1)[seq, pos, side]
+    batch, side = x.data.shape[:2], np.arange(2)[:, None]  # side: each packed row's direction
 
     # The input projection of every row in one stacked GEMM. Each step adds
-    # u·h to its rows and turns them into the gate values in place with one
-    # tanh: g = tanh(z), and i, f, o = sigmoid(z) = (1 + tanh(z / 2)) / 2, their
-    # pre-activations halved beforehand by halving their rows of w, u and b,
-    # which is exact.
-    gates = x.data[seq, pos] @ w.data.swapaxes(1, 2)
-    gates += b.data[:, None]
-    gates[..., :3 * d_h] *= 0.5
-    u_t = u.data.swapaxes(1, 2).copy()
-    u_t[..., :3 * d_h] *= 0.5
+    # u·h and turns its rows into the gate values in place with one tanh:
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2 for i, f, o, whose rows are halved first.
+    half = np.repeat([0.5, 1.0], [3 * d_h, d_h])  # a power of two: exact
+    gates = (x.data[seq, pos] @ w.data.swapaxes(1, 2) + b.data[:, None]) * half
+    u_t = u.data.swapaxes(1, 2) * half
     cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
     prev = None
     for lo, hi in zip(starts[:-1], starts[1:]):
@@ -450,9 +441,8 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
         if prev is not None:
             z += hs[:, prev:prev + hi - lo] @ u_t
         np.tanh(z, out=z)
-        s = z[..., :3 * d_h]
-        s *= 0.5
-        s += 0.5
+        z[..., :3 * d_h] *= 0.5
+        z[..., :3 * d_h] += 0.5
         i, f, o, g = z.reshape(2, hi - lo, 4, d_h).transpose(2, 0, 1, 3)
         c = cells[:, lo:hi]
         np.multiply(i, g, out=c)
@@ -460,14 +450,12 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
             c += f * cells[:, prev:prev + hi - lo]
         np.multiply(o, np.tanh(c), out=hs[:, lo:hi])
         prev = lo
-    out = np.zeros((*batch, 2, d_h))
-    out[seq, pos, side] = hs
-    out = out.reshape(*batch, 2 * d_h)
-    del hs  # backward packs it again from out: less to keep until then
+    out = np.zeros((*batch, 2 * d_h))
+    out.reshape(*batch, 2, d_h)[seq, pos, side] = hs
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        dh_out, tanh_c = pack(grad), np.tanh(cells)
+        dh_out, tanh_c = grad.reshape(*batch, 2, d_h)[seq, pos, side], np.tanh(cells)
         dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
         dz *= gates
         dz[..., 3 * d_h:] = 1.0 - gates[..., 3 * d_h:] ** 2
@@ -493,14 +481,12 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
             # the state each row after step 0 read: its sequence's row of the step before
             first = starts[1] if len(starts) > 1 else 0
             prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
-            u._accumulate(dz[:, first:].swapaxes(1, 2) @ pack(out)[:, prev])
+            u._accumulate(dz[:, first:].swapaxes(1, 2) @ hs[:, prev])
         if b.requires_grad:
             b._accumulate(dz.sum(axis=1))
         if x.requires_grad:
-            dxs = dz @ w.data
             dx = np.zeros(x.data.shape)
-            dx[seq, pos[0]] = dxs[0]
-            dx[seq, pos[1]] += dxs[1]
+            np.add.at(dx, (seq, pos), dz @ w.data)  # the directions read each row once each
             x._accumulate(dx)
 
     return _make(out, (x, w, u, b), backward)

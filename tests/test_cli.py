@@ -92,6 +92,26 @@ def test_viz_checks_every_index_before_writing(corpus_file, tmp_path, capsys):
     assert not list(tmp_path.glob("viz/attention_*"))
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "below_a_file"])
+def test_viz_out_dir_that_is_a_file_fails_before_loading(corpus_file, tmp_path, capsys,
+                                                        monkeypatch, nested):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    loads = []
+    monkeypatch.setattr(cli, "load_pretrained", lambda *a, **kw: loads.append("vectors"))
+    monkeypatch.setattr(training, "load_checkpoint", lambda *a, **kw: loads.append("checkpoint"))
+    capsys.readouterr()
+    out_dir = taken / "viz" if nested else taken
+    assert run(["viz", "--checkpoint", str(tmp_path / "model.ckpt"), "--corpus",
+                str(corpus_file), "--embeddings", str(corpus_file),
+                "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not a directory" in err[0]
+    assert loads == []
+    assert taken.read_text() == "not a directory"
+
+
 def test_ttest_command(tmp_path, capsys):
     (tmp_path / "a.txt").write_text("1\n2\n3\n4\n5\n")
     (tmp_path / "b.txt").write_text("0\n0\n0\n0\n0\n")

@@ -111,6 +111,24 @@ def test_bad_line_in_a_later_chunk_names_its_line(bad, message, then_another_fau
         load_pretrained(io.StringIO("\n".join(lines) + "\n"), dim=2)
 
 
+@pytest.mark.parametrize("row", [
+    # the left-to-right sum stays at the float maximum; the exact sum, which a
+    # compensated sum (sum() from Python 3.12) approaches, lies beyond it
+    "1.7976931348623157e308 6e291 6e291",
+    "1.7976931348623157e308 1e292 -1e292",  # the left-to-right sum overflows
+])
+def test_chunk_and_line_paths_judge_a_row_near_the_float_maximum_alike(row):
+    """A chunk numpy parses and a chunk it rejects (here for the "1_0" that
+    only float() reads) apply one finiteness rule: a plain left-to-right sum."""
+    outcomes = []
+    for text in (f"big {row}\n", f"big {row}\nother 1_0 2 3\n"):
+        try:
+            outcomes.append(load_pretrained(io.StringIO(text), dim=3).lookup("big").tobytes())
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_spellings_only_float_reads_still_load():
     # underscores, Arabic-Indic digits and no-break spaces, as float() and str.split read them
     text = "a 1_0 2\nb\u00a01\u00a0\u00a02.5\nc \u0661\u0662 -0.0\n"
