@@ -428,10 +428,14 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     starts, seq, pos, rank = _packing(lengths.tobytes())
     batch, side = x.data.shape[:2], np.arange(2)[:, None]  # side: each packed row's direction
 
+    def pack(a):  # [B, n, 2d_h] -> [2, rows, d_h], each direction in packed order
+        return a.reshape(*batch, 2, -1)[seq, pos, side]
+
     # The input projection of every row in one stacked GEMM. Each step adds
     # u·h and turns its rows into the gate values in place with one tanh:
     # sigmoid(z) = (1 + tanh(z / 2)) / 2 for i, f, o, whose rows are halved first.
-    half = np.repeat([0.5, 1.0], [3 * d_h, d_h])  # a power of two: exact
+    half = np.full(4 * d_h, 0.5)  # a power of two: exact
+    half[3 * d_h:] = 1.0
     gates = (x.data[seq, pos] @ w.data.swapaxes(1, 2) + b.data[:, None]) * half
     u_t = u.data.swapaxes(1, 2) * half
     cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
@@ -452,10 +456,11 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
         prev = lo
     out = np.zeros((*batch, 2 * d_h))
     out.reshape(*batch, 2, d_h)[seq, pos, side] = hs
+    del hs  # backward packs it again from out: less to keep until then
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        dh_out, tanh_c = grad.reshape(*batch, 2, d_h)[seq, pos, side], np.tanh(cells)
+        dh_out, tanh_c = pack(grad), np.tanh(cells)
         dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
         dz *= gates
         dz[..., 3 * d_h:] = 1.0 - gates[..., 3 * d_h:] ** 2
@@ -481,7 +486,7 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
             # the state each row after step 0 read: its sequence's row of the step before
             first = starts[1] if len(starts) > 1 else 0
             prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
-            u._accumulate(dz[:, first:].swapaxes(1, 2) @ hs[:, prev])
+            u._accumulate(dz[:, first:].swapaxes(1, 2) @ pack(out)[:, prev])
         if b.requires_grad:
             b._accumulate(dz.sum(axis=1))
         if x.requires_grad:

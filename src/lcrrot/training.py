@@ -14,12 +14,10 @@ runs chunks of examples without recording a graph.
 
 Checkpoint format 4: one JSON line holding ``format_version``, ``variant``,
 ``hyperparams``, ``dims`` and the parameter names (``params``, in
-``ModelParams.named()`` order: ``left.w``, ``left.u``, ``left.b``, ...,
-each Bi-LSTM's directions stacked in one array), then one raw ``.npy``
-record per parameter, so the round trip is bit-exact. Earlier formats
-are rejected: 3, with one record per direction (``left.fwd.w``, ...), and
-the JSON formats 1 and 2. Saves write ``<path>.tmp`` and rename it into
-place, so a failed save leaves an earlier file at ``path`` intact.
+``ModelParams.named()`` order: ``left.w``, ``left.u``, ``left.b``, ...), then
+one raw ``.npy`` record per parameter, so the round trip is bit-exact; older
+formats are rejected. Saves write ``<path>.tmp`` and rename it into place,
+so a failed save leaves an earlier file at ``path`` intact.
 """
 
 from __future__ import annotations
