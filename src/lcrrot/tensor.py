@@ -433,17 +433,16 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
 
     # The input projection of every row in one stacked GEMM. Each step adds
     # u·h and turns its rows into the gate values in place with one tanh:
-    # sigmoid(z) = (1 + tanh(z / 2)) / 2 for i, f, o, whose rows are halved first.
-    half = np.full(4 * d_h, 0.5)  # a power of two: exact
-    half[3 * d_h:] = 1.0
-    gates = (x.data[seq, pos] @ w.data.swapaxes(1, 2) + b.data[:, None]) * half
-    u_t = u.data.swapaxes(1, 2) * half
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2 for i, f, o (halving is exact).
+    gates = x.data[seq, pos] @ w.data.swapaxes(1, 2)
+    gates += b.data[:, None]
     cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
-    prev = None
+    u_t, prev = u.data.swapaxes(1, 2), None
     for lo, hi in zip(starts[:-1], starts[1:]):
         z = gates[:, lo:hi]
         if prev is not None:
             z += hs[:, prev:prev + hi - lo] @ u_t
+        z[..., :3 * d_h] *= 0.5
         np.tanh(z, out=z)
         z[..., :3 * d_h] *= 0.5
         z[..., :3 * d_h] += 0.5
