@@ -95,9 +95,7 @@ def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
 
 @dataclass
 class BiLstmParams:
-    """Both directions of a Bi-LSTM, stacked: slice 0 is forward, slice 1
-    backward, and each stacks its gate rows as input, forget, output,
-    candidate."""
+    """A Bi-LSTM: forward in slice 0, backward in slice 1, gates i, f, o, g."""
     w: Tensor  # [2, 4 d_h, d]
     u: Tensor  # [2, 4 d_h, d_h]
     b: Tensor  # [2, 4 d_h]
