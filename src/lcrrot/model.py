@@ -95,7 +95,9 @@ def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
 
 @dataclass
 class BiLstmParams:
-    """A Bi-LSTM: forward in slice 0, backward in slice 1, gates i, f, o, g."""
+    """Both directions of a Bi-LSTM, stacked: slice 0 is forward, slice 1
+    backward, and each stacks its gate rows as input, forget, output,
+    candidate."""
     w: Tensor  # [2, 4 d_h, d]
     u: Tensor  # [2, 4 d_h, d_h]
     b: Tensor  # [2, 4 d_h]

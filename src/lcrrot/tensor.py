@@ -389,8 +389,8 @@ def _packing(key: bytes):
 
     Returns the first packed row of every step (and the row count at the
     end), then for every packed row its sequence, its positions [2, rows]
-    (its step, the row it reads forward, then the row it reads in reverse)
-    and its rank in the sorted batch. The arrays are read-only.
+    (the row it reads forward, which is its step, then the row it reads in
+    reverse) and its rank in the sorted batch. The arrays are read-only.
     """
     lengths = np.frombuffer(key, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
@@ -408,14 +408,16 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
 
     x is a zero-padded batch [B, n, d] whose sequence j is its first
     lengths[j] rows. w [2, 4d_h, d], u [2, 4d_h, d_h] and b [2, 4d_h] hold
-    the forward direction in slice 0, the backward one in slice 1, gates
+    the forward direction in slice 0 and the backward one in slice 1, gates
     stacked as input, forget, output, candidate. Returns [B, n, 2d_h], zero
-    at padding: row i holds the forward state after rows 0..i, then the
-    backward state after the sequence's rows from its end down to i.
+    at padding: row i is the forward state after reading rows 0..i, then
+    the backward state after reading the sequence from its end down to i.
 
-    Both directions run packed (``_packing``), so a step is one stacked
-    product [2, k_t, d_h]·[2, d_h, 4d_h] over the k_t sequences still running,
-    the input projection and each weight gradient are one stacked product.
+    The rows run packed (``_packing``): the k_t sequences still running at
+    step t are a prefix of the packed rows of step t - 1, in both
+    directions. So a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h],
+    the input projection and each weight gradient are one stacked product
+    over every real row, and padding is never computed or stored.
     """
     x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
     lengths = _batch_lengths(x, lengths, "bilstm_sequence")
@@ -453,13 +455,10 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
         prev = lo
     out = np.zeros((*batch, 2 * d_h))
     out.reshape(*batch, 2, d_h)[seq, pos, side] = hs
-    saved = [gates, cells]  # backward lets go of them after its loop; the states come from out
-    del hs
+    del hs  # backward packs it again from out: less to keep until then
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        gates, cells = saved
-        saved.clear()
         dh_out, tanh_c = pack(grad), np.tanh(cells)
         dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
         dz *= gates
@@ -480,7 +479,6 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
                                            axis=-1)
             if t:
                 dc_next, dh_next = dc * f, dz[:, lo:hi] @ u.data
-        gates = cells = dh_out = tanh_c = i = f = o = g = dh = None  # and views of them
         if w.requires_grad:
             w._accumulate(dz.swapaxes(1, 2) @ x.data[seq, pos])
         if u.requires_grad:
