@@ -147,7 +147,7 @@ def test_gradcheck_stressed_point():
 def test_gradcheck_names_the_worst_parameter_at_both_points(capsys):
     assert run(["gradcheck", "--variant", "lcr_rot"]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("lcr_rot"))
-    assert "initial" in line and "stressed" in line
+    assert "(initial)" in line and "(stressed)" in line
     assert line.count(" in ") == 2
 
 
