@@ -12,7 +12,7 @@ from lcrrot.cli import run
 from lcrrot.corpus import load_examples
 from lcrrot.embeddings import EmbeddingTable
 from lcrrot.errors import CheckpointError
-from lcrrot.model import Variant
+from lcrrot.model import Variant, is_bias
 
 CORPUS = """the $T$ was good today
 battery
@@ -122,7 +122,11 @@ def test_ttest_command(tmp_path, capsys):
 
 def test_gradcheck_single_variant(capsys):
     assert run(["gradcheck", "--variant", "no_attention"]) == 0
-    assert "max relative error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max relative error" in out
+    # the worst error and parameter at the initial and at the stressed point
+    line = next(l for l in out.splitlines() if l.startswith("no_attention"))
+    assert "(initial)" in line and "(stressed)" in line and line.count(" in ") == 2
 
 
 def test_gradcheck_stressed_point():
@@ -133,7 +137,7 @@ def test_gradcheck_stressed_point():
     assert ex2 == ex
     for (name, t), (_, s) in zip(params.named(), stressed.named()):
         assert isinstance(s.data, np.ndarray) and s.data.shape == t.data.shape, name
-        if gradcheck.is_bias(name):
+        if is_bias(name):
             assert np.all(s.data != t.data) and np.all(np.abs(s.data - t.data) < 0.5), name
         else:
             np.testing.assert_array_equal(s.data, 10.0 * t.data, err_msg=name)
@@ -142,13 +146,6 @@ def test_gradcheck_stressed_point():
     again = gradcheck.tiny_setup(Variant.LCR_ROT)[2]
     for (_, t), (_, a) in zip(params.named(), again.named()):
         assert t.data.tobytes() == a.data.tobytes()
-
-
-def test_gradcheck_names_the_worst_parameter_at_both_points(capsys):
-    assert run(["gradcheck", "--variant", "lcr_rot"]) == 0
-    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("lcr_rot"))
-    assert "(initial)" in line and "(stressed)" in line
-    assert line.count(" in ") == 2
 
 
 def test_gradcheck_variant_from_config_file(tmp_path, capsys):
