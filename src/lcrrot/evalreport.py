@@ -40,7 +40,7 @@ class EvalResult:
         return sum(self.correct_flags) / len(self.gold)
 
 
-EVAL_CHUNK = 16  # examples per batched forward in an evaluation pass
+EVAL_ROWS = 2048  # padded rows (batch size x longest segment) per eval forward
 
 
 def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
@@ -49,14 +49,27 @@ def predict(ex: Example, table: EmbeddingTable, params: ModelParams,
     return predict_all([ex], table, params, cfg)[0]
 
 
+def eval_batches(examples):
+    """Consecutive runs of ``examples``, each within EVAL_ROWS of size times longest
+    segment (left, target or right); an example over the budget runs alone."""
+    start = longest = 0
+    for i, ex in enumerate(examples):
+        n = max(len(ex.left), len(ex.target), len(ex.right))
+        if i > start and (i - start + 1) * max(longest, n) > EVAL_ROWS:
+            yield examples[start:i]
+            start, longest = i, 0
+        longest = max(longest, n)
+    if examples:
+        yield examples[start:]
+
+
 def predict_all(examples, table: EmbeddingTable, params: ModelParams,
                 cfg: VariantConfig) -> list[str]:
-    """Argmax label of every example, run as batches of EVAL_CHUNK; ties
-    break toward the lowest class index."""
+    """Argmax label of every example, batched by ``eval_batches``; ties go to the lowest class."""
     labels = []
     with T.no_grad():
-        for start in range(0, len(examples), EVAL_CHUNK):
-            res = forward(examples[start:start + EVAL_CHUNK], table, params, cfg, mode="eval")
+        for batch in eval_batches(examples):
+            res = forward(batch, table, params, cfg, mode="eval")
             labels += [LABELS[i] for i in np.argmax(res.probs.data, axis=1)]
     return labels
 
@@ -85,33 +98,20 @@ def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (Lentz's method)."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
+
+    def floored(v: float) -> float:
+        return tiny if abs(v) < tiny else v
+
+    d = 1.0 / floored(1.0 - qab * x / qap)
+    c, h = 1.0, d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / floored(1.0 + aa * d)
+            c = floored(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")

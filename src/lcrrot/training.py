@@ -10,7 +10,7 @@ Each mini-batch runs as one forward (``model.forward`` on the list of
 examples) and one backward, which consumes the graph; one example is a
 batch of one. Dropout draws one [B, v] mask per batch, the same numbers as
 one draw per example. Accuracy passes use ``evalreport.predict_all``, which
-runs chunks of examples without recording a graph.
+runs batches of at most ``EVAL_ROWS`` padded rows without recording a graph.
 
 Checkpoint format 4: one JSON line holding ``format_version``, ``variant``,
 ``hyperparams``, ``dims`` and the parameter names (``params``, in

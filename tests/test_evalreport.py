@@ -63,6 +63,51 @@ class TestPredict:
             evalreport.evaluate([], table, params, cfg)
 
 
+class TestEvalBatches:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*(st.one_of(st.integers(lo, 60), st.integers(lo, 3000))
+                                for lo in (0, 1, 0))), max_size=60))
+    def test_batches_cover_the_examples_in_order_within_the_budget(self, lengths):
+        examples = [Example(left=("w",) * l, target=("t",) * t, right=("w",) * r,
+                            label="neutral") for l, t, r in lengths]
+        batches = list(evalreport.eval_batches(examples))
+        # consecutive, every example once, in the given order
+        flat = [ex for batch in batches for ex in batch]
+        assert len(flat) == len(examples) and all(a is b for a, b in zip(flat, examples))
+        rows = lambda batch: len(batch) * max(max(len(ex.left), len(ex.target), len(ex.right))
+                                              for ex in batch)
+        for i, batch in enumerate(batches):
+            assert batch and (rows(batch) <= evalreport.EVAL_ROWS or len(batch) == 1)
+            if i + 1 < len(batches):  # closed only when the next example would pass it
+                assert rows(batch + batches[i + 1][:1]) > evalreport.EVAL_ROWS
+
+    def test_budget_boundary_and_an_example_over_it(self):
+        sizes = lambda examples: [len(b) for b in evalreport.eval_batches(examples)]
+        ex = Example(left=("w",) * 64, target=("t",), right=(), label="neutral")
+        k = evalreport.EVAL_ROWS // 64
+        assert sizes([ex] * k) == [k]  # k x 64 rows, within the budget
+        assert sizes([ex] * (k + 1)) == [k, 1]
+        over = Example(left=(), target=("t",) * (evalreport.EVAL_ROWS + 1), right=(),
+                       label="neutral")
+        assert sizes([ex, over, over, ex, ex]) == [1, 1, 1, 2]
+
+    def test_no_examples_make_no_batch(self):
+        assert list(evalreport.eval_batches([])) == []
+
+    def test_evaluate_of_short_examples_is_one_forward(self, monkeypatch):
+        table, params, cfg = make_setup(seed=3)
+        examples = [make_example(label=LABELS[i % 3], seed=i) for i in range(40)]
+        calls = []
+
+        def counting_forward(batch, *args, **kwargs):
+            calls.append(len(batch))
+            return forward(batch, *args, **kwargs)
+
+        monkeypatch.setattr(evalreport, "forward", counting_forward)
+        evalreport.evaluate(examples, table, params, cfg)
+        assert calls == [40]
+
+
 def class_corpus(neg, neu, pos):
     out = []
     for label, count in (("negative", neg), ("neutral", neu), ("positive", pos)):

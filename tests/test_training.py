@@ -291,14 +291,37 @@ class TestBatchedTraining:
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10, err_msg=name)
             assert np.any(got.data != start.data), name
 
-    def test_evaluate_accuracy_matches_per_example_predict(self):
-        params, cfg = tiny_params(seed=12)
+    def test_evaluate_accuracy_matches_per_example_predict(self, monkeypatch):
+        # segments of up to 120 tokens, so that the row budget makes several
+        # batches, the last one short
+        g = np.random.default_rng(4)
+        words = lambda hi: tuple(f"w{j}" for j in g.integers(0, 30, g.integers(0, hi)))
+        examples = [Example(left=words(121), target=("t",) + words(3), right=words(121),
+                            label=("negative", "neutral", "positive")[i % 3])
+                    for i in range(37)]
+        sizes = [len(batch) for batch in evalreport.eval_batches(examples)]
+        assert len(sizes) >= 3 and sizes[-1] < max(sizes)
         table = EmbeddingTable(dim=4, seed=3)
-        examples = make_corpus(n=37, seed=4)  # three chunks, the last one short
-        expected = [evalreport.predict(ex, table, params, cfg) for ex in examples]
-        assert evalreport.predict_all(examples, table, params, cfg) == expected
-        assert training.evaluate_accuracy(examples, table, params, cfg) == \
-            sum(p == ex.label for p, ex in zip(expected, examples)) / len(examples)
+        batched = []
+
+        def recording_forward(*args, **kwargs):
+            res = forward(*args, **kwargs)
+            batched.extend(res.probs.data)
+            return res
+
+        for variant in Variant:
+            params, cfg = tiny_params(seed=12, variant=variant)
+            expected = [evalreport.predict(ex, table, params, cfg) for ex in examples]
+            batched.clear()
+            with monkeypatch.context() as m:
+                m.setattr(evalreport, "forward", recording_forward)
+                assert evalreport.predict_all(examples, table, params, cfg) == expected
+            with T.no_grad():
+                alone = [forward([ex], table, params, cfg, mode="eval").probs.data[0]
+                         for ex in examples]
+            np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-12, err_msg=variant.value)
+            assert training.evaluate_accuracy(examples, table, params, cfg) == \
+                sum(p == ex.label for p, ex in zip(expected, examples)) / len(examples)
 
 
 class TestNoGradEval:
