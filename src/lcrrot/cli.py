@@ -66,8 +66,11 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_settings(p, keys):
-        p.set_defaults(settings=keys)
+    def add_settings(p, keys, shown_defaults=None):
+        # shown_defaults: what an unset setting means where that is not its
+        # field's default (gradcheck without a variant checks all five)
+        shown_defaults = shown_defaults or {}
+        p.set_defaults(settings=keys, shown_defaults=shown_defaults)
         p.add_argument("--config", type=Path,
                        help="key = value config file; flags override it")
         for key in keys:
@@ -75,7 +78,8 @@ def _build_parser() -> _Parser:
             kind = type(default)
             p.add_argument("--" + key.replace("_", "-"), type=kind,
                            choices=[v.value for v in kind] if isinstance(default, Enum) else None,
-                           help=f"{SETTINGS[key][2]} (default {_show(default)})")
+                           help=f"{SETTINGS[key][2]} (default "
+                                f"{shown_defaults.get(key, _show(default))})")
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     p_train.set_defaults(run=_cmd_train)
@@ -124,7 +128,7 @@ def _build_parser() -> _Parser:
     p_gc = sub.add_parser("gradcheck",
                           help="finite-difference gradient check on a tiny config")
     p_gc.set_defaults(run=_cmd_gradcheck)
-    add_settings(p_gc, ("l2", "seed", "variant"))
+    add_settings(p_gc, ("l2", "seed", "variant"), shown_defaults={"variant": "all"})
     p_gc.add_argument("--tolerance", type=float, default=1e-4)
 
     return parser
@@ -168,7 +172,9 @@ def _effective_config(args):
     given.update((key, getattr(args, key)) for key in args.settings
                  if getattr(args, key) is not None)
     merged = {key: given.get(key, _DEFAULTS[key]) for key in args.settings}
-    print("effective config: " + " ".join(f"{k}={_show(merged[k])}" for k in sorted(merged)))
+    shown = {**args.shown_defaults, **given}
+    print("effective config: " + " ".join(f"{k}={_show(shown.get(k, merged[k]))}"
+                                          for k in sorted(merged)))
     fields = {training.Hyperparams: {}, Dimensions: {}, VariantConfig: {}}
     for key, value in merged.items():
         cls, field, _ = SETTINGS[key]

@@ -157,6 +157,29 @@ def test_gradcheck_variant_from_config_file(tmp_path, capsys):
     assert len(results) == 1 and results[0].startswith("no_attention")
 
 
+@pytest.mark.parametrize("how, shown", [("default", "all"), ("flag", "no_attention"),
+                                        ("config", "no_attention")])
+def test_gradcheck_echo_names_the_variants_it_checks(how, shown, tmp_path, monkeypatch,
+                                                     capsys):
+    checked = []
+
+    def fake_errors(ex, table, params, cfg, lam):  # keeps the test fast
+        checked.append(cfg.variant.value)
+        return {"left.w": 1e-9}
+
+    monkeypatch.setattr(gradcheck, "gradient_errors", fake_errors)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = no_attention\n")
+    argv = {"default": [], "flag": ["--variant", "no_attention"],
+            "config": ["--config", str(cfg)]}[how]
+    assert run(["gradcheck"] + argv) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo == f"effective config: l2=1e-05 seed=1 variant={shown}"
+    # two points per variant: the initial one and the stressed one
+    expected = [v.value for v in Variant] if shown == "all" else [shown]
+    assert checked == [v for v in expected for _ in range(2)]
+
+
 @pytest.fixture
 def nan_loss(monkeypatch):
     """Scale the gradient check's loss by NaN, so the loss and every gradient are NaN."""
