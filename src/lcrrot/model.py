@@ -127,6 +127,17 @@ class ModelParams:
         yield "clf.w", self.clf_w
         yield "clf.b", self.clf_b
 
+    @classmethod
+    def from_named(cls, variant: Variant, dims: Dimensions,
+                   arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """The inverse of ``named()``: trainable tensors over arrays keyed by name."""
+        t = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        enc = {e: BiLstmParams(t[f"{e}.w"], t[f"{e}.u"], t[f"{e}.b"])
+               for e in ("left", "right", "center") if f"{e}.w" in t}
+        return cls(variant, dims, enc["left"], enc["right"], enc.get("center"),
+                   {n.split(".", 1)[1]: x for n, x in t.items() if n.startswith("attention.")},
+                   t["clf.w"], t["clf.b"])
+
     def zero_grad(self):
         for _, t in self.named():
             t.zero_grad()
@@ -137,46 +148,42 @@ def is_bias(name: str) -> bool:
     return name.endswith(".b") or ".b_" in name
 
 
-def _init_bilstm(d_in: int, d_h: int, rng: np.random.Generator) -> BiLstmParams:
-    w, u = np.empty((2, 4 * d_h, d_in)), np.empty((2, 4 * d_h, d_h))
-    for k in range(2):  # forward w, forward u, backward w, backward u
-        # one draw per matrix yields the same numbers as one draw per gate, in gate order
-        w[k] = rng.uniform(-0.1, 0.1, w.shape[1:])
-        u[k] = rng.uniform(-0.1, 0.1, u.shape[1:])
-    return BiLstmParams(w=Tensor(w, requires_grad=True), u=Tensor(u, requires_grad=True),
-                        b=Tensor(np.zeros((2, 4 * d_h)), requires_grad=True))
+def param_shapes(variant: Variant, dims: Dimensions) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a variant at dims, in ``ModelParams.named()`` order."""
+    stages, h, g = STAGES[variant], dims.hidden, 4 * dims.d_h
+    encoders = ("left", "right") if variant is Variant.NO_TARGET_LEARNED else (
+        "left", "right", "center")
+    shapes = {f"{e}.{k}": shape for e in encoders
+              for k, shape in (("w", (2, g, dims.d)), ("u", (2, g, dims.d_h)), ("b", (2, g)))}
+    q = h if "center" in encoders else dims.d  # the width of the target query
+    weights = {}
+    if "t2c" in stages:
+        weights.update(w_cl=(h, q), w_cr=(h, q))
+    if "c2t" in stages:
+        weights.update(w_tl=(h, h), w_tr=(h, h))
+    attention = weights | {"b" + name[1:]: () for name in weights}
+    shapes.update((f"attention.{name}", attention[name]) for name in sorted(attention))
+    shapes["clf.w"] = (dims.n_classes, sentence_vector_dim(variant, dims))
+    shapes["clf.b"] = (dims.n_classes,)
+    return shapes
 
 
 def init_params(dims: Dimensions, cfg: VariantConfig,
                 rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters: weight matrices from U(-0.1, 0.1), biases zero."""
-    variant = cfg.variant
-    stages = STAGES[variant]
-    h = dims.hidden
-    left = _init_bilstm(dims.d, dims.d_h, rng)
-    right = _init_bilstm(dims.d, dims.d_h, rng)
-    center = (None if variant is Variant.NO_TARGET_LEARNED
-              else _init_bilstm(dims.d, dims.d_h, rng))
-
-    def mat(shape):
-        return Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
-
-    # drawn in this order whatever order the stages run in
-    attention: dict[str, Tensor] = {}
-    if "t2c" in stages:
-        q = dims.d if center is None else h  # the width of the target query
-        attention.update(w_cl=mat((h, q)), w_cr=mat((h, q)))
-    if "c2t" in stages:
-        attention.update(w_tl=mat((h, h)), w_tr=mat((h, h)))
-    for name in list(attention):
-        attention["b" + name[1:]] = Tensor(0.0, requires_grad=True)
-
-    v_dim = sentence_vector_dim(variant, dims)
-    clf_w = mat((dims.n_classes, v_dim))
-    clf_b = Tensor(np.zeros(dims.n_classes), requires_grad=True)
-    return ModelParams(variant=variant, dims=dims, left=left, right=right,
-                       center=center, attention=attention,
-                       clf_w=clf_w, clf_b=clf_b)
+    """Fresh parameters: weight matrices from U(-0.1, 0.1), biases zero. The
+    weights are drawn in ``named()`` order, except that each Bi-LSTM draws
+    forward w, forward u, backward w, backward u (one draw per matrix yields
+    the same numbers as one draw per gate, in gate order)."""
+    arrays = {name: np.empty(shape) for name, shape in param_shapes(cfg.variant, dims).items()}
+    for name, a in arrays.items():
+        if name.endswith(".w") and f"{name[:-2]}.u" in arrays:  # a Bi-LSTM
+            u = arrays[f"{name[:-2]}.u"]
+            for k in range(2):
+                a[k] = rng.uniform(-0.1, 0.1, a.shape[1:])
+                u[k] = rng.uniform(-0.1, 0.1, u.shape[1:])
+        elif not name.endswith(".u"):
+            a[...] = 0.0 if is_bias(name) else rng.uniform(-0.1, 0.1, a.shape)
+    return ModelParams.from_named(cfg.variant, dims, arrays)
 
 
 def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,

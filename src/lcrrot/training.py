@@ -22,7 +22,6 @@ so a failed save leaves an earlier file at ``path`` intact.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import tensor as T
 from .corpus import Example
@@ -37,7 +37,7 @@ from .embeddings import EmbeddingTable
 from .errors import CheckpointError, ConfigError, DomainError, ShapeError
 from .evalreport import predict_all
 from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
-                    init_params, is_bias)
+                    init_params, is_bias, param_shapes)
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 4
@@ -199,10 +199,8 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
 
 
 def copy_params(params: ModelParams) -> ModelParams:
-    out = copy.deepcopy(params)
-    for _, t in out.named():
-        t.zero_grad()
-    return out
+    return ModelParams.from_named(params.variant, params.dims,
+                                  {name: t.data.copy() for name, t in params.named()})
 
 
 def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
@@ -235,19 +233,30 @@ def load_checkpoint(path) -> tuple[ModelParams, VariantConfig, Hyperparams]:
             variant = Variant(header["variant"])
             cfg = VariantConfig(variant=variant)
             hp = Hyperparams(**header["hyperparams"])
-            # rebuild the parameter skeleton, then overwrite every tensor
-            params = init_params(Dimensions(**header["dims"]), cfg, np.random.default_rng(0))
-            if header["params"] != [name for name, _ in params.named()]:
+            dims = Dimensions(**header["dims"])
+            shapes = param_shapes(variant, dims)
+            if header["params"] != list(shapes):
                 raise ValueError(f"parameter names do not match a {variant.value} model")
-            for name, t in params.named():
-                arr = np.load(fh, allow_pickle=False)
-                if (arr.shape != t.data.shape or arr.dtype != t.data.dtype
-                        or not np.isfinite(arr).all()):
-                    raise ValueError(f"{name} is not a finite {t.data.dtype} array "
-                                     f"of shape {t.data.shape}")
-                t.data = arr
+            file_size, arrays = os.fstat(fh.fileno()).st_size, {}
+            for name, shape in shapes.items():
+                # each .npy header is checked before any of its record's data is read
+                expected = f"{name} is not a finite float64 array of shape {shape}"
+                read_header = {(1, 0): npy.read_array_header_1_0,
+                               (2, 0): npy.read_array_header_2_0}.get(npy.read_magic(fh))
+                if read_header is None:
+                    raise ValueError(f"{name}: not a version 1 or 2 .npy record")
+                stored_shape, fortran_order, dtype = read_header(fh)
+                if stored_shape != shape or dtype != np.float64:
+                    raise ValueError(expected)
+                count = math.prod(shape)  # checked against the bytes left before allocating
+                if (8 * count > file_size - fh.tell()
+                        or fh.readinto(arr := np.empty(count)) != 8 * count):
+                    raise ValueError(f"{name}: the file ends inside its record")
+                arrays[name] = arr.reshape(shape, order="F" if fortran_order else "C")
+                if not np.isfinite(arr).all():
+                    raise ValueError(expected)
             if fh.read(1):
                 raise ValueError("trailing bytes after the last parameter")
         except (KeyError, TypeError, ValueError, EOFError) as exc:
             raise CheckpointError(f"{path}: bad checkpoint ({exc})") from None
-    return params, cfg, hp
+    return ModelParams.from_named(variant, dims, arrays), cfg, hp

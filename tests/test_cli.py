@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -424,6 +425,35 @@ def test_per_gate_version_1_checkpoint_is_rejected(corpus_file, tmp_path, capsys
         capsys.readouterr()
         assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("damage", ["dims", "record"])
+def test_huge_checkpoint_shape_is_data_error(corpus_file, tmp_path, capsys, damage):
+    """Header dims of d = d_h = 10**7 (petabytes of weights), or a record whose
+    .npy header claims shape (10**6, 10**6) (terabytes), exit 2 with one error
+    line: the loader allocates nothing of the size a header claims."""
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    path = tmp_path / "model.ckpt"
+    blob = path.read_bytes()
+    header, records = blob.split(b"\n", 1)
+    if damage == "dims":
+        doc = json.loads(header)
+        doc["dims"].update(d=10**7, d_h=10**7)
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+    else:
+        start = blob.index(b"\x93NUMPY", blob.index(b"\x93NUMPY") + 1)  # left.u, the 2nd record
+        old = io.BytesIO(blob[start:])
+        np.lib.format.read_magic(old)
+        np.lib.format.read_array_header_1_0(old)
+        claim = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            claim, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)})
+        path.write_bytes(blob[:start] + claim.getvalue() + blob[start + old.tell():])
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--test-corpus", str(corpus_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert ("left.w" if damage == "dims" else "left.u") in err[0]
 
 
 def test_format_3_checkpoint_is_rejected(corpus_file, tmp_path, capsys):

@@ -25,6 +25,21 @@ def tiny_params(seed=0, variant=Variant.LCR_ROT, d=4, d_h=2):
     return init_params(Dimensions(d=d, d_h=d_h), cfg, rng(seed)), cfg
 
 
+def write_records(path, header, params, claims=(), arrays=()):
+    """Write a checkpoint of this header line and these parameters, where a
+    record named in ``arrays`` holds that array instead, and one named in
+    ``claims`` keeps its data but its ``.npy`` header claims the given shape."""
+    with open(path, "wb") as fh:
+        fh.write(header + b"\n")
+        for name, t in params.named():
+            if name in claims:
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f8", "fortran_order": False, "shape": claims[name]})
+                fh.write(t.data.tobytes())
+            else:
+                np.save(fh, dict(arrays).get(name, t.data), allow_pickle=False)
+
+
 class TestLoss:
     def test_perfect_prediction(self):
         params, _ = tiny_params()
@@ -233,6 +248,17 @@ class TestTrain:
                                 dev_examples=corpus[:3])
         assert all(m.dev_acc is not None for m in metrics)
 
+    def test_copy_params_is_independent(self):
+        params, _ = tiny_params(seed=5, variant=Variant.ATTENTION_REVERSE)
+        for _, t in params.named():
+            t.grad = np.ones_like(t.data)
+        copied = training.copy_params(params)
+        assert copied.variant is params.variant and copied.dims == params.dims
+        for (name, t), (name2, c) in zip(params.named(), copied.named(), strict=True):
+            assert name == name2 and c.data.tobytes() == t.data.tobytes()
+            assert c.requires_grad and c.grad is None
+            assert not np.shares_memory(c.data, t.data)
+
 
 class TestHyperparams:
     @pytest.mark.parametrize("field, value", [
@@ -352,8 +378,9 @@ class TestNoGradEval:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        params, cfg = tiny_params(seed=9)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_round_trip_bit_identical(self, tmp_path, variant):
+        params, cfg = tiny_params(seed=9, variant=variant)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, HP, path)
         loaded, loaded_cfg, loaded_hp = load_checkpoint(path)
@@ -376,8 +403,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", [
-        "empty", "truncated", "trailing", "non_finite", "renamed", "reshaped"])
+        "empty", "truncated", "trailing", "non_finite", "renamed", "reshaped",
+        "huge_dims", "huge_record", "huge_claim", "float32"])
     def test_damaged_file_rejected(self, tmp_path, damage):
+        """Huge shapes, in the header's dims or in a record's own header, are
+        refused before anything of that size is allocated."""
         params, cfg = tiny_params(seed=3)
         path = tmp_path / "model.ckpt"
         if damage == "non_finite":
@@ -390,13 +420,54 @@ class TestCheckpoint:
             doc["params"][0] = "left.fwd.w_i"
         if damage == "reshaped":
             doc["dims"]["d"] = 5
+        if damage in ("huge_dims", "huge_claim"):
+            doc["dims"].update(d=10**7, d_h=10**7)
         edited = json.dumps(doc).encode() + b"\n" + records
         path.write_bytes({"empty": b"", "truncated": blob[:-7], "trailing": blob + b"\0",
-                          "non_finite": blob, "renamed": edited, "reshaped": edited}[damage])
-        reason = {"trailing": "trailing bytes", "non_finite": "clf.w is not a finite",
-                  "renamed": "names do not match", "reshaped": r"left.w .* shape \(2, 8, 5\)"}
+                          "non_finite": blob, "renamed": edited, "reshaped": edited,
+                          "huge_dims": edited}.get(damage, b""))
+        if damage == "huge_record":  # the header's dims are right, the record's shape is not
+            write_records(path, header, params, claims={"left.u": (10**6, 10**6)})
+        if damage == "huge_claim":  # header and record agree on a shape the file cannot hold
+            write_records(path, edited.split(b"\n", 1)[0], params,
+                          claims={"left.w": (2, 4 * 10**7, 10**7)})
+        if damage == "float32":
+            write_records(path, header, params, arrays={"clf.b": np.float32([1, 2, 3])})
+        reason = {"truncated": "clf.b: the file ends inside its record",
+                  "trailing": "trailing bytes", "non_finite": "clf.w is not a finite",
+                  "renamed": "names do not match", "reshaped": r"left.w .* shape \(2, 8, 5\)",
+                  "huge_dims": r"left.w .* shape \(2, 40000000, 10000000\)",
+                  "huge_record": r"left.u .* shape \(2, 8, 2\)",
+                  "huge_claim": "left.w: the file ends inside its record",
+                  "float32": r"clf.b is not a finite float64 array of shape \(3,\)"}
         with pytest.raises(CheckpointError, match=reason.get(damage, "bad checkpoint")):
             load_checkpoint(path)
+
+    def test_fortran_order_record_loads(self, tmp_path):
+        """np.save writes an F-contiguous array as a Fortran-order record;
+        it loads with the same values."""
+        params, cfg = tiny_params(seed=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        write_records(path, header, params,
+                      arrays={"left.w": np.asfortranarray(params.left.w.data)})
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.left.w.data.tolist() == params.left.w.data.tolist()
+
+    def test_load_draws_no_model(self, tmp_path, monkeypatch):
+        params, cfg = tiny_params(seed=4, variant=Variant.NO_TARGET_LEARNED)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a random model")
+
+        monkeypatch.setattr(training, "init_params", refuse)
+        loaded, loaded_cfg, _ = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert [(n, t.data.tobytes()) for n, t in loaded.named()] == [
+            (n, t.data.tobytes()) for n, t in params.named()]
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         params, cfg = tiny_params(seed=1)
