@@ -2,8 +2,8 @@
 
 Subcommands: train, eval, ablate, stats, ttest, viz, gradcheck.
 Exit codes: 0 success, 1 usage error, 2 data/format error (an unreadable
-or non-UTF-8 input file among them), 3 numeric failure (gradient check
-above tolerance).
+or non-UTF-8 input file among them, or settings too large to allocate),
+3 numeric failure (gradient check above tolerance).
 
 train takes ten settings (lr l2 dropout momentum batch_size epochs dim
 hidden seed variant), each as a flag or a ``key = value`` line of a
@@ -349,6 +349,9 @@ def run(argv=None) -> int:
     except (FormatError, DomainError, CheckpointError, ConfigError, ShapeError,
             UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

@@ -58,10 +58,6 @@ class EmbeddingTable:
             return np.zeros((0, self.dim))
         return np.stack([self.lookup(t) for t in tokens])
 
-    def matrix_hash(self) -> int:
-        """Order-sensitive hash of all tokens and rows; used to assert the freeze invariant."""
-        return hash(tuple((key, row.tobytes()) for key, row in self.rows.items()))
-
 
 def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
     """Parse an embedding stream into a table.

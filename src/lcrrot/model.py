@@ -18,9 +18,10 @@ into a zero-padded [B, n, d] block with its lengths, each Bi-LSTM is one
 packed ``tensor.bilstm_sequence`` node over the whole batch, both
 directions in one step loop over stacked weights, pooling is a
 masked mean, and attention a masked softmax over stacks of row vectors
-[B, 1, h], so an empty context still gives a zero vector. One example runs
-as a batch of one, and its result is squeezed to one example's shapes;
-there is no second code path.
+[B, 1, h], so an empty context gives a zero vector; a segment empty in every
+example is a zero-width block [B, 0, k]. One example runs as a batch of one,
+and its result is squeezed to one example's shapes; there is no second
+code path.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import tensor as T
-from .corpus import Example
+from .corpus import LABELS, Example
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DomainError
 from .tensor import Tensor
@@ -72,10 +73,9 @@ class VariantConfig:
 class Dimensions:
     d: int = 300        # word embedding size
     d_h: int = 300      # LSTM hidden size per direction
-    n_classes: int = 3
 
     def __post_init__(self):
-        if min(self.d, self.d_h, self.n_classes) < 1:
+        if min(self.d, self.d_h) < 1:
             raise ConfigError(f"every dimension must be at least 1, got {self}")
 
     @property
@@ -163,8 +163,8 @@ def param_shapes(variant: Variant, dims: Dimensions) -> dict[str, tuple[int, ...
         weights.update(w_tl=(h, h), w_tr=(h, h))
     attention = weights | {"b" + name[1:]: () for name in weights}
     shapes.update((f"attention.{name}", attention[name]) for name in sorted(attention))
-    shapes["clf.w"] = (dims.n_classes, sentence_vector_dim(variant, dims))
-    shapes["clf.b"] = (dims.n_classes,)
+    shapes["clf.w"] = (len(LABELS), sentence_vector_dim(variant, dims))
+    shapes["clf.b"] = (len(LABELS),)
     return shapes
 
 
@@ -186,64 +186,52 @@ def init_params(dims: Dimensions, cfg: VariantConfig,
     return ModelParams.from_named(cfg.variant, dims, arrays)
 
 
-def encode_bilstm(embedded: np.ndarray, p: BiLstmParams,
-                  lengths: np.ndarray) -> Optional[Tensor]:
+def encode_bilstm(embedded: np.ndarray, p: BiLstmParams, lengths: np.ndarray) -> Tensor:
     """Encode a zero-padded batch [B, n, d], whose sequence j is its first
     lengths[j] rows, into hidden states [B, n, 2*d_h], zero at padding.
 
     Position i concatenates the forward state after tokens 1..i with the
     backward state after tokens n..i, both from one ``T.bilstm_sequence``
-    node. Returns None when no sequence has a token.
+    node. When no sequence has a token, n is 0 and so is the result's width.
     """
-    if embedded.shape[1] == 0:
-        return None
     return T.bilstm_sequence(Tensor(embedded), p.w, p.u, p.b, lengths)
 
 
-def pool_target(hidden: Optional[Tensor], lengths: np.ndarray) -> Tensor:
+def pool_target(hidden: Tensor, lengths: np.ndarray) -> Tensor:
     """Average pooling over each example's target hidden states: [B, 1, h]."""
-    if hidden is None or lengths.min() < 1:
+    if lengths.min() < 1:
         raise DomainError("pool_target requires at least one hidden state")
     return T.mean_rows(hidden, lengths)
 
 
-def attend(hidden: Optional[Tensor], query: Tensor, w: Tensor, b: Tensor,
-           lengths: np.ndarray) -> tuple[Optional[Tensor], Tensor]:
+def attend(hidden: Tensor, query: Tensor, w: Tensor, b: Tensor,
+           lengths: np.ndarray) -> tuple[Tensor, Tensor]:
     """Bilinear attention: score_i = tanh(h_i . W . q + b), weights softmax.
 
     hidden [B, n, h] holds lengths[j] states of example j, query is [B, 1, q]
     and w [h, q]. Returns (alpha [B, 1, n], r [B, 1, h]) with r the weighted
-    combination of hidden states. An empty sequence (hidden is None, or a
-    length of 0) yields zero weights and a zero vector, so a missing context
-    degrades gracefully instead of erroring.
+    combination of hidden states. An empty sequence (a length of 0, or n = 0
+    for the whole batch) yields zero weights and a zero vector, so a missing
+    context degrades gracefully instead of erroring.
     """
-    if hidden is None:
-        return None, Tensor(np.zeros((len(lengths), 1, w.shape[0])))
     wq = T.matmul(query, T.transpose(w))
     scores = T.tanh(T.add(T.matmul(wq, T.transpose(hidden)), b))
     alpha = T.softmax(scores, np.arange(hidden.data.shape[1]) < lengths[:, None, None])
     return alpha, T.matmul(alpha, hidden)
 
 
-def _mean_or_zero(hidden: Optional[Tensor], size: int, lengths: np.ndarray) -> Tensor:
-    if hidden is None:
-        return Tensor(np.zeros((len(lengths), 1, size)))
-    return T.mean_rows(hidden, lengths)
-
-
-def dropout(v: Tensor, rate: float, mode: str,
-            rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout: identity in eval mode, mask + rescale in train mode.
+def dropout(v: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout: mask + rescale; rate 0 returns v and draws nothing.
 
     A batch [B, k] draws its mask in one call, which gives the same numbers
     as B draws of k in row order.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return v
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     mask = (rng.random(v.data.shape) >= rate) / (1.0 - rate)
     return T.mul(v, Tensor(mask))
 
@@ -262,8 +250,8 @@ class AttentionRecord:
     """Attention weights and component representations from one forward pass.
 
     For a batch every array has a leading batch axis, and weights are 0 at
-    padding; a weight array is None when its segment is empty in every
-    example. For one example the batch axis is squeezed away.
+    padding; a weight array is None when it has no columns, its segment empty
+    in every example. For one example the batch axis is squeezed away.
     """
     alpha_l: Optional[np.ndarray]
     alpha_r: Optional[np.ndarray]
@@ -278,7 +266,7 @@ class AttentionRecord:
 
 @dataclass
 class ForwardResult:
-    probs: Tensor            # [B, n_classes] (or [n_classes]), rows sum to 1
+    probs: Tensor            # [B, len(LABELS)] (or [len(LABELS)]), rows sum to 1
     sentence_vec: Tensor     # v, before the classifier (after dropout in train mode)
     record: AttentionRecord
 
@@ -318,8 +306,7 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     r_l = r_r = r_tl = r_tr = r_t = None
     first = stages[0] if stages else None
     if first != "t2c":  # the context means are the first context vectors
-        r_l = _mean_or_zero(hid_l, params.dims.hidden, len_l)
-        r_r = _mean_or_zero(hid_r, params.dims.hidden, len_r)
+        r_l, r_r = T.mean_rows(hid_l, len_l), T.mean_rows(hid_r, len_r)
     if first != "c2t":  # the pooled target: the first t2c query, or a component of v
         r_t = (T.mean_rows(Tensor(target_emb), len_t) if params.center is None
                else pool_target(hid_t, len_t))
@@ -336,12 +323,12 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     v = T.concat([r_l, r_t, r_r] if r_tl is None else [r_l, r_tl, r_tr, r_r])
 
     v = T.index(v, (slice(None), 0))  # [B, 1, v] -> [B, v]
-    if mode == "train" and dropout_rate > 0.0:
-        v = dropout(v, dropout_rate, mode, rng)
+    if mode == "train":
+        v = dropout(v, dropout_rate, rng)
     probs = T.softmax(T.add(T.matmul(v, T.transpose(params.clf_w)), params.clf_b))
 
-    def rows(t):  # [B, 1, k] -> [B, k]
-        return None if t is None else t.data[:, 0].copy()
+    def rows(t):  # [B, 1, k] -> [B, k]; no stage, or no columns, is None
+        return None if t is None or t.data.shape[-1] == 0 else t.data[:, 0].copy()
 
     record = AttentionRecord(
         alpha_l=rows(alpha_l), alpha_r=rows(alpha_r),

@@ -114,7 +114,8 @@ def _as_tensor(x):
 
 def _make(data, inputs, backward):
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    # an input with no entries has no gradient to carry, so it links no edge
+    if _grad_enabled and any(t.requires_grad and t.data.size for t in inputs):
         out.requires_grad = True
         out._prev = tuple(inputs)
         out._backward = backward
@@ -223,22 +224,6 @@ def tanh(a) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid exp overflow
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    y = _logistic(a.data)
-
-    def backward(g):
-        a._accumulate(g * y * (1.0 - y))
-
-    return _make(y, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
 
@@ -263,20 +248,16 @@ def softmax(a, mask=None) -> Tensor:
     """Numerically stable softmax over the last axis.
 
     Entries where the boolean ``mask`` is False get weight 0; a row with no
-    entry left is all 0.
+    entry left is all 0. With a mask, the last axis may be empty.
     """
     a = _as_tensor(a)
-    if a.data.ndim < 1 or a.data.shape[-1] < 1:
+    if a.data.ndim < 1 or (a.data.shape[-1] < 1 and mask is None):
         raise DomainError(f"softmax requires a non-empty last axis, got shape {a.shape}")
-    if mask is None:
-        e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-        y = e / e.sum(axis=-1, keepdims=True)
-    else:
-        # masked entries become -inf, so exp gives them 0; a row with nothing
-        # left gets a finite maximum instead of -inf, and a sum of 1
-        z = np.where(mask, a.data, -np.inf)
-        e = np.exp(z - z.max(axis=-1, keepdims=True, initial=np.finfo(np.float64).min))
-        y = e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
+    # masked entries become -inf, so exp gives them 0; a row with nothing left gets
+    # a finite maximum and the floor 1 as its sum, which every other row reaches
+    z = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True, initial=np.finfo(np.float64).min))
+    y = e / np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
 
     def backward(g):
         a._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
@@ -339,20 +320,6 @@ def concat(parts) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), backward)
 
 
-def stack(parts) -> Tensor:
-    """Stack scalars into a 1-d tensor, or 1-d tensors into rows of a 2-d one."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise DomainError("stack of no operands")
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(g[i])
-
-    return _make(np.stack([p.data for p in parts]), tuple(parts), backward)
-
-
 def _batch_lengths(x: Tensor, lengths, op: str) -> np.ndarray:
     """``lengths`` as an array, checked against the zero-padded batch x [B, n, k]."""
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -409,9 +376,10 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     x is a zero-padded batch [B, n, d] whose sequence j is its first
     lengths[j] rows. w [2, 4d_h, d], u [2, 4d_h, d_h] and b [2, 4d_h] hold
     the forward direction in slice 0 and the backward one in slice 1, gates
-    stacked as input, forget, output, candidate. Returns [B, n, 2d_h], zero
-    at padding: row i is the forward state after reading rows 0..i, then
-    the backward state after reading the sequence from its end down to i.
+    stacked as input, forget, output, candidate. Returns [B, n, 2d_h] (n may
+    be 0), zero at padding: row i is the forward state after reading rows
+    0..i, then the backward state after reading the sequence from its end
+    down to i.
 
     The rows run packed (``_packing``): the k_t sequences still running at
     step t are a prefix of the packed rows of step t - 1, in both
@@ -429,7 +397,7 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     batch, side = x.data.shape[:2], np.arange(2)[:, None]  # side: each packed row's direction
 
     def pack(a):  # [B, n, 2d_h] -> [2, rows, d_h], each direction in packed order
-        return a.reshape(*batch, 2, -1)[seq, pos, side]
+        return a.reshape(*batch, 2, d_h)[seq, pos, side]
 
     # The input projection of every row in one stacked GEMM. Each step adds
     # u·h and turns its rows into the gate values in place with one tanh:

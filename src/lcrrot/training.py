@@ -1,9 +1,8 @@
 """Loss, SGD-with-momentum, the epoch loop and checkpointing.
 
 Loss per instance is cross entropy against the one-hot label plus an L2
-penalty over the full trainable parameter set (embeddings excluded; the
-penalty covers biases by default, with a flag for the conventional
-weights-only variant), one ``tensor.sumsq`` node. Batch loss is the mean
+penalty over the full trainable parameter set, biases included
+(embeddings excluded), one ``tensor.sumsq`` node. Batch loss is the mean
 cross entropy over the batch plus the penalty added once.
 
 Each mini-batch runs as one forward (``model.forward`` on the list of
@@ -13,11 +12,13 @@ one draw per example. Accuracy passes use ``evalreport.predict_all``, which
 runs batches of at most ``EVAL_ROWS`` padded rows without recording a graph.
 
 Checkpoint format 4: one JSON line holding ``format_version``, ``variant``,
-``hyperparams``, ``dims`` and the parameter names (``params``, in
-``ModelParams.named()`` order: ``left.w``, ``left.u``, ``left.b``, ...), then
-one raw ``.npy`` record per parameter, so the round trip is bit-exact; older
-formats are rejected. Saves write ``<path>.tmp`` and rename it into place,
-so a failed save leaves an earlier file at ``path`` intact.
+``hyperparams``, ``dims`` (``d`` and ``d_h``) and the parameter names
+(``params``, in ``ModelParams.named()`` order: ``left.w``, ``left.u``, ...),
+then one raw ``.npy`` record per parameter, so the round trip is bit-exact;
+older formats are rejected. Older format-4 headers also hold ``n_classes``
+and ``regularize_biases``; the loader drops both, and the records must fit
+three classes. Saves write ``<path>.tmp`` and rename it into place, so a
+failed save leaves an earlier file at ``path`` intact.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .embeddings import EmbeddingTable
 from .errors import CheckpointError, ConfigError, DomainError, ShapeError
 from .evalreport import predict_all
 from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
-                    init_params, is_bias, param_shapes)
+                    init_params, param_shapes)
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 4
@@ -53,7 +54,6 @@ class Hyperparams:
     batch_size: int = 25
     max_epochs: int = 20
     seed: int = 1
-    regularize_biases: bool = True
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -82,29 +82,24 @@ class OptimizerState:
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
     """-log p_true with the probability floored at LOG_EPS: a scalar for one
-    probability vector, one value per row for a batch [B, n_classes]."""
+    probability vector, one value per row for a batch [B, len(LABELS)]."""
     key = labels if probs.data.ndim == 1 else (np.arange(len(labels)), np.asarray(labels))
     return T.scale(T.log(T.clip_min(T.index(probs, key), LOG_EPS)), -1.0)
 
 
-def l2_penalty(params: ModelParams, lam: float,
-               include_biases: bool = True) -> Tensor:
-    return T.scale(T.sumsq(*(t for name, t in params.named()
-                             if include_biases or not is_bias(name))), lam)
+def l2_penalty(params: ModelParams, lam: float) -> Tensor:
+    """lam * ||Theta||^2 over every parameter, biases included."""
+    return T.scale(T.sumsq(*(t for _, t in params.named())), lam)
 
 
-def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float,
-         include_biases: bool = True) -> Tensor:
+def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float) -> Tensor:
     """Single-instance loss: cross entropy + lam * ||Theta||^2."""
-    return T.add(cross_entropy(probs, label_index),
-                 l2_penalty(params, lam, include_biases))
+    return T.add(cross_entropy(probs, label_index), l2_penalty(params, lam))
 
 
-def batch_loss(probs: Tensor, label_indices, params: ModelParams, lam: float,
-               include_biases: bool = True) -> Tensor:
-    """Mean cross entropy over the rows of probs [B, n_classes], plus the penalty once."""
-    return T.add(T.tmean(cross_entropy(probs, label_indices)),
-                 l2_penalty(params, lam, include_biases))
+def batch_loss(probs: Tensor, label_indices, params: ModelParams, lam: float) -> Tensor:
+    """Mean cross entropy over the rows of probs [B, len(LABELS)], plus the penalty once."""
+    return T.add(T.tmean(cross_entropy(probs, label_indices)), l2_penalty(params, lam))
 
 
 def sgd_momentum_step(params: ModelParams, state: OptimizerState,
@@ -172,8 +167,7 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
             batch = [examples[i] for i in order[start:start + hp.batch_size]]
             res = forward(batch, table, params, cfg, mode="train", rng=rng,
                           dropout_rate=hp.dropout_rate)
-            bl = batch_loss(res.probs, [ex.label_index for ex in batch], params,
-                            hp.l2_weight, include_biases=hp.regularize_biases)
+            bl = batch_loss(res.probs, [ex.label_index for ex in batch], params, hp.l2_weight)
             bl.backward()
             sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
             params.zero_grad()  # free the gradients before the next batch allocates its own
@@ -224,6 +218,13 @@ def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
             os.remove(tmp)
 
 
+def _section(header: dict, key: str, legacy: str) -> dict:
+    """The object ``header[key]`` without ``legacy``, a key older headers hold."""
+    if not isinstance(header[key], dict):
+        raise TypeError(f"{key} is not a JSON object")
+    return {k: v for k, v in header[key].items() if k != legacy}
+
+
 def load_checkpoint(path) -> tuple[ModelParams, VariantConfig, Hyperparams]:
     with open(path, "rb") as fh:
         try:
@@ -232,8 +233,8 @@ def load_checkpoint(path) -> tuple[ModelParams, VariantConfig, Hyperparams]:
                 raise ValueError(f"unsupported version {header['format_version']!r}")
             variant = Variant(header["variant"])
             cfg = VariantConfig(variant=variant)
-            hp = Hyperparams(**header["hyperparams"])
-            dims = Dimensions(**header["dims"])
+            hp = Hyperparams(**_section(header, "hyperparams", "regularize_biases"))
+            dims = Dimensions(**_section(header, "dims", "n_classes"))
             shapes = param_shapes(variant, dims)
             if header["params"] != list(shapes):
                 raise ValueError(f"parameter names do not match a {variant.value} model")

@@ -1,14 +1,45 @@
-"""The two-node Bi-LSTM path that ``tensor.bilstm_sequence`` replaced, kept
-as a test oracle: one LSTM direction per graph node, each with its own
-weights, as ``model.encode_bilstm`` ran it before both directions shared
-one node and one stacked layout.
+"""Test oracles built on the engine: the two-node Bi-LSTM path that
+``tensor.bilstm_sequence`` replaced, one LSTM direction per graph node, each
+with its own weights, as ``model.encode_bilstm`` ran it before both
+directions shared one node and one stacked layout; and the ``sigmoid`` and
+``stack`` ops that only the per-step oracles use.
 """
 
 import numpy as np
 
 from lcrrot import tensor as T
-from lcrrot.errors import ShapeError
+from lcrrot.errors import DomainError, ShapeError
 from lcrrot.tensor import Tensor
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # split by sign to avoid exp overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a) -> Tensor:
+    a = T._as_tensor(a)
+    y = _logistic(a.data)
+
+    def backward(g):
+        a._accumulate(g * y * (1.0 - y))
+
+    return T._make(y, (a,), backward)
+
+
+def stack(parts) -> Tensor:
+    """Stack scalars into a 1-d tensor, or 1-d tensors into rows of a 2-d one."""
+    parts = [T._as_tensor(p) for p in parts]
+    if not parts:
+        raise DomainError("stack of no operands")
+
+    def backward(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                p._accumulate(g[i])
+
+    return T._make(np.stack([p.data for p in parts]), tuple(parts), backward)
 
 
 def lstm_sequence(x, w, u, b, lengths, reverse: bool = False) -> Tensor:
@@ -51,7 +82,7 @@ def lstm_sequence(x, w, u, b, lengths, reverse: bool = False) -> Tensor:
         z = gates[lo:hi]
         if prev is not None:
             z += hs[prev:prev + hi - lo] @ u_t
-        z[:, :3 * d_h] = T._logistic(z[:, :3 * d_h])
+        z[:, :3 * d_h] = _logistic(z[:, :3 * d_h])
         np.tanh(z[:, 3 * d_h:], out=z[:, 3 * d_h:])
         i, f, o, g = z.reshape(hi - lo, 4, d_h).swapaxes(0, 1)
         c = cells[lo:hi]

@@ -229,6 +229,17 @@ def test_zero_size_is_data_error(corpus_file, tmp_path, capsys, flag):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_settings_too_large_to_allocate_are_data_error(corpus_file, tmp_path, capsys):
+    """d = d_h = 10**7 asks for petabytes of weights, which the OS refuses at
+    once: one error line, exit 2, and no checkpoint."""
+    args = base_train_args(corpus_file, tmp_path)
+    args[args.index("--dim") + 1] = args[args.index("--hidden") + 1] = "10000000"
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("how", ["flag", "config_file"])
 def test_infinite_hyperparameter_is_data_error(corpus_file, tmp_path, capsys, how):
     args = base_train_args(corpus_file, tmp_path)
@@ -476,6 +487,28 @@ def test_format_3_checkpoint_is_rejected(corpus_file, tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(old), "--test-corpus", str(corpus_file)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "version 3" in err[0]
+
+
+def test_four_class_checkpoint_is_data_error(corpus_file, tmp_path, capsys):
+    """A header that states n_classes 4, over clf records of 4 rows whose
+    fourth class would win every argmax: the model has three classes, so
+    eval refuses the file instead of failing on a fourth label."""
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    path = tmp_path / "model.ckpt"
+    params, cfg, hp = training.load_checkpoint(path)
+    header, _ = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["dims"]["n_classes"] = 4
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(doc).encode() + b"\n")
+        four = {"clf.w": np.vstack([params.clf_w.data, params.clf_w.data[:1]]),
+                "clf.b": np.array([0.0, 0.0, 0.0, 100.0])}
+        for name, t in params.named():
+            np.save(fh, four.get(name, t.data), allow_pickle=False)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--test-corpus", str(corpus_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "clf.w" in err[0]
 
 
 def test_truncated_checkpoint_is_data_error(corpus_file, tmp_path, capsys):

@@ -13,7 +13,7 @@ from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           pool_target, sentence_vector_dim)
 from lcrrot.tensor import Tensor
 from lcrrot.training import batch_loss, cross_entropy, l2_penalty, loss
-from lstm_oracle import two_node_bilstm
+from lstm_oracle import stack, two_node_bilstm
 
 
 def rng(seed=0):
@@ -110,7 +110,8 @@ class TestEncodeBilstm:
     def test_empty_sequence(self):
         g = rng(3)
         bp = random_bilstm(3, 2, g)
-        assert encode_bilstm(np.zeros((1, 0, 3)), bp, np.array([0])) is None
+        out = encode_bilstm(np.zeros((2, 0, 3)), bp, np.array([0, 0]))
+        assert out.data.shape == (2, 0, 4)
 
     def test_reversal_swaps_directions(self):
         g = rng(4)
@@ -216,7 +217,7 @@ class TestPoolTarget:
 
     def test_empty_target(self):
         with pytest.raises(DomainError):
-            pool_target(None, np.array([0]))
+            pool_target(Tensor(np.zeros((1, 0, 4))), np.array([0]))
 
 
 def attend_one(h, q, w, b):
@@ -268,10 +269,12 @@ class TestAttend:
         np.testing.assert_allclose(r, r_expected, atol=1e-12)
 
     def test_empty_sequence_yields_zero_vector(self):
-        alpha, r = attend(None, Tensor(np.zeros((1, 1, 4))),
-                          Tensor(np.zeros((4, 4))), Tensor(0.0), np.array([0]))
-        assert alpha is None
-        np.testing.assert_array_equal(r.data, np.zeros((1, 1, 4)))
+        # a segment empty in every example is a zero-width block [B, 0, h]
+        g = rng(9)
+        alpha, r = attend(Tensor(np.zeros((2, 0, 4))), Tensor(g.uniform(-1, 1, (2, 1, 4))),
+                          Tensor(g.uniform(-1, 1, (4, 4))), Tensor(0.3), np.array([0, 0]))
+        assert alpha.data.shape == (2, 1, 0)
+        np.testing.assert_array_equal(r.data, np.zeros((2, 1, 4)))
 
 
 def make_example(left_len=3, target_len=2, right_len=2, label="positive"):
@@ -493,7 +496,7 @@ class TestBatchedForward:
                            dropout_rate=dropout_rate) for ex in examples]
         ces = [cross_entropy(res.probs, y) for res, y in zip(singles, labels)]
         params.zero_grad()
-        T.add(T.tmean(T.stack(ces)), l2_penalty(params, lam)).backward()
+        T.add(T.tmean(stack(ces)), l2_penalty(params, lam)).backward()
         expected = {name: t.grad.copy() for name, t in params.named()}
 
         res = forward(examples, table, params, cfg, mode="train", rng=rng(3),
@@ -521,14 +524,25 @@ class TestBatchedForward:
         with pytest.raises(DomainError):
             forward([], table, params, cfg)
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_segment_empty_in_every_example(self, variant):
+        """The left contexts run as a zero-width block: the record holds None
+        for their weights, and a zero context vector for each example."""
+        table, params, cfg = make_setup(variant, seed=14)
+        res = forward(batch_examples(BATCHES["all_left_empty"]), table, params, cfg)
+        assert res.record.alpha_l is None
+        np.testing.assert_array_equal(res.record.r_l, np.zeros((3, params.dims.hidden)))
+        if "t2c" in M.STAGES[variant]:  # the right contexts are not empty
+            assert res.record.alpha_r.shape == (3, 3)
+
 
 def two_node_encoder(leaves):
     """``encode_bilstm`` as it ran before the directions were fused: two
     ``lstm_sequence`` nodes and a concat, over leaves of their own that copy
     the stacked slices. leaves maps id(p) to [(fwd w, u, b), (bwd w, u, b)]."""
     def encode(embedded, p, lengths):
-        if embedded.shape[1] == 0:
-            return None
+        if embedded.shape[1] == 0:  # no encoder runs on a zero-width block
+            return Tensor(np.zeros((*embedded.shape[:2], 2 * p.u.data.shape[-1])))
         fwd, bwd = leaves.setdefault(id(p), [
             tuple(Tensor(t.data[k].copy(), requires_grad=True) for t in (p.w, p.u, p.b))
             for k in range(2)])

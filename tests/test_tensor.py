@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lcrrot import tensor as T
 from lcrrot.errors import DomainError, ShapeError
 from lcrrot.tensor import Tensor
-from lstm_oracle import two_node_bilstm
+from lstm_oracle import sigmoid, stack, two_node_bilstm
 
 
 def rng(seed=0):
@@ -64,7 +64,7 @@ class TestMatmul:
 class TestEltwise:
     def test_zero_cases(self):
         assert T.tanh(Tensor(0.0)).data == 0.0
-        assert T.sigmoid(Tensor(0.0)).data == 0.5
+        assert sigmoid(Tensor(0.0)).data == 0.5
 
     def test_add_identity(self):
         x = rng().uniform(-1, 1, 5)
@@ -79,7 +79,7 @@ class TestEltwise:
     def test_bounds(self):
         x = rng(4).uniform(-50, 50, 100)
         assert np.all(np.abs(T.tanh(Tensor(x)).data) <= 1.0)
-        s = T.sigmoid(Tensor(x)).data
+        s = sigmoid(Tensor(x)).data
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert np.all(np.isfinite(s))
 
@@ -132,6 +132,16 @@ class TestSoftmax:
     def test_empty_vector_rejected(self):
         with pytest.raises(DomainError):
             T.softmax(Tensor(np.zeros(0)))
+
+    def test_empty_last_axis_with_mask(self):
+        # a segment empty in every example of a batch: rows with no entry
+        out = T.softmax(Tensor(np.zeros((2, 1, 0))), np.zeros((2, 1, 0), dtype=bool))
+        assert out.data.shape == (2, 1, 0)
+
+    def test_full_mask_is_the_unmasked_softmax(self):
+        x = rng(6).uniform(-5, 5, (3, 4))
+        assert T.softmax(Tensor(x), np.ones((3, 4), dtype=bool)).data.tobytes() == \
+            T.softmax(Tensor(x)).data.tobytes()
 
     def test_rows_with_mask(self):
         x = rng(3).uniform(-5, 5, (3, 4))
@@ -202,7 +212,7 @@ class TestReduce:
         with pytest.raises(DomainError):
             T.concat([])
         with pytest.raises(DomainError):
-            T.stack([])
+            stack([])
 
 
 class TestBatchOps:
@@ -331,7 +341,7 @@ class TestGradientProperty:
 
         def build():
             h = T.tanh(T.add(T.matmul(w, x), b))
-            p = T.softmax(T.mul(h, T.sigmoid(h)))
+            p = T.softmax(T.mul(h, sigmoid(h)))
             return T.add(T.tmean(p), T.scale(T.sumsq(w), 0.1))
 
         _fd_check(build, [w, x, b])
@@ -362,12 +372,12 @@ def per_step_lstm(xs, w, u, b, reverse):
     for t in order:
         z = [T.add(T.add(T.matmul(ws[k], x_rows[t]), T.matmul(us[k], h)), bs[k])
              for k in range(4)]
-        i, f, o = (T.sigmoid(zk) for zk in z[:3])
+        i, f, o = (sigmoid(zk) for zk in z[:3])
         g = T.tanh(z[3])
         c = T.add(T.mul(f, c), T.mul(i, g))
         h = T.mul(o, T.tanh(c))
         out[t] = h
-    return T.stack(out), (x_rows, ws, us, bs)
+    return stack(out), (x_rows, ws, us, bs)
 
 
 def lstm_case(seed, n, d=5, d_h=3):
@@ -494,6 +504,24 @@ class TestLstmSequence:
         for got, want in zip((w, u, b), expected_grads):
             np.testing.assert_allclose(got.grad, want, rtol=0, atol=1e-10)
         np.testing.assert_allclose(x.grad, expected_dx, rtol=0, atol=1e-10)
+
+    def test_zero_width_batch(self):
+        """Sequences all empty: a [B, 0, 2d_h] block, and a backward that
+        gives every operand a zero gradient of its own shape."""
+        g = rng(26)
+        d, d_h = 4, 3
+        w, u, b = (Tensor(g.uniform(-0.5, 0.5, shape), requires_grad=True)
+                   for shape in ((2, 4 * d_h, d), (2, 4 * d_h, d_h), (2, 4 * d_h)))
+        x = Tensor(np.zeros((2, 0, d)), requires_grad=True)
+        out = T.bilstm_sequence(x, w, u, b, [0, 0])
+        assert out.data.shape == (2, 0, 2 * d_h)
+        # an op whose only gradient input has no entries links no edge ...
+        assert not T.mean_rows(out, [0, 0]).requires_grad
+        # ... so the loss reads w too, which links it to the block's node
+        T.sumsq(out, w).backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * w.data)
+        for t in (u, b, x):
+            assert t.grad.shape == t.data.shape and not t.grad.any()
 
     def test_lengths_longer_than_the_block_rejected(self):
         xs, w, u, b, _ = lstm_case(24, 3)

@@ -14,6 +14,7 @@ from lcrrot.model import (Dimensions, Variant, VariantConfig, dropout, forward,
 from lcrrot.tensor import Tensor
 from lcrrot.training import (Hyperparams, OptimizerState, loss, load_checkpoint,
                              save_checkpoint, sgd_momentum_step, train)
+from lstm_oracle import stack
 
 
 def rng(seed=0):
@@ -23,6 +24,11 @@ def rng(seed=0):
 def tiny_params(seed=0, variant=Variant.LCR_ROT, d=4, d_h=2):
     cfg = VariantConfig(variant=variant)
     return init_params(Dimensions(d=d, d_h=d_h), cfg, rng(seed)), cfg
+
+
+def matrix_hash(table):
+    """Order-sensitive hash of all tokens and rows of an embedding table."""
+    return hash(tuple((key, row.tobytes()) for key, row in table.rows.items()))
 
 
 def write_records(path, header, params, claims=(), arrays=()):
@@ -73,13 +79,9 @@ class TestLoss:
                   for lam in (0.0, 1e-6, 1e-4, 1e-2)]
         assert values == sorted(values)
 
-    def test_excluding_biases(self):
+    def test_penalty_covers_biases(self):
         params, _ = tiny_params(seed=4)
-        with_b = float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data)
-        without_b = float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
-                               include_biases=False).data)
-        # biases are zero-initialized, so values agree until training moves them
-        assert with_b == pytest.approx(without_b)
+        before = float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data)
         bumped = 0
         for name, t in params.named():
             # attention scalars (attention.b_cl, ...), stacked LSTM gate biases
@@ -88,12 +90,15 @@ class TestLoss:
                 t.data = t.data + 1.0
                 bumped += 1
         assert bumped == 3 + 4 + 1
-        assert float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data) > \
-            float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
-                       include_biases=False).data)
-        # the weights-only penalty ignores every bias it just saw move
-        assert float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0,
-                          include_biases=False).data) == without_b
+        # biases are zero-initialized, so each entry adds its square, 1, to the penalty
+        entries = sum(t.data.size for name, t in params.named()
+                      if ".b_" in name or name.endswith(".b"))
+        after = float(loss(Tensor([0.5, 0.3, 0.2]), 0, params, lam=1.0).data)
+        assert after == pytest.approx(before + entries)
+        params.zero_grad()
+        training.l2_penalty(params, 1.0).backward()
+        for name, t in params.named():
+            np.testing.assert_array_equal(t.grad, 2.0 * t.data, err_msg=name)
 
 
 class TestSgdMomentum:
@@ -143,14 +148,21 @@ class TestSgdMomentum:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         v = Tensor(rng().uniform(-1, 1, 8))
-        for mode in ("train", "eval"):
-            out = dropout(v, 0.0, mode, rng(1))
-            np.testing.assert_array_equal(out.data, v.data)
+        g = rng(1)
+        assert dropout(v, 0.0, g) is v
+        assert dropout(v, 0.0, None) is v
+        # and draws nothing
+        assert g.bit_generator.state == rng(1).bit_generator.state
 
     def test_eval_mode_is_identity(self):
-        v = Tensor(rng().uniform(-1, 1, 8))
-        out = dropout(v, 0.9, "eval", None)
-        np.testing.assert_array_equal(out.data, v.data)
+        # forward applies dropout in train mode only
+        table = EmbeddingTable(dim=4, seed=1)
+        params, cfg = tiny_params(seed=2)
+        ex = make_corpus(n=1)[0]
+        g = rng(1)
+        res = forward(ex, table, params, cfg, mode="eval", rng=g, dropout_rate=0.9)
+        assert g.bit_generator.state == rng(1).bit_generator.state
+        assert res.probs.data.tobytes() == forward(ex, table, params, cfg).probs.data.tobytes()
 
     def test_monte_carlo_mean_preserved(self):
         g = rng(42)
@@ -158,17 +170,17 @@ class TestDropout:
         total = np.zeros(4)
         n = 100_000
         for _ in range(n):
-            total += dropout(v, 0.5, "train", g).data
+            total += dropout(v, 0.5, g).data
         np.testing.assert_allclose(total / n, v.data, rtol=0.02)
 
     def test_survivors_scaled(self):
         g = rng(0)
-        out = dropout(Tensor(np.ones(1000)), 0.5, "train", g).data
+        out = dropout(Tensor(np.ones(1000)), 0.5, g).data
         assert set(np.round(np.unique(out), 12)) == {0.0, 2.0}
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, "train", rng())
+            dropout(Tensor(np.ones(3)), 1.0, rng())
 
 
 def make_corpus(n=12, seed=0):
@@ -232,9 +244,9 @@ class TestTrain:
         corpus = make_corpus()
         for ex in corpus:  # materialize all rows first
             table.embed_sequence(ex.left + ex.target + ex.right)
-        before = table.matrix_hash()
+        before = matrix_hash(table)
         train(corpus, table, CFG, HP, DIMS)
-        assert table.matrix_hash() == before
+        assert matrix_hash(table) == before
 
     def test_metrics_line_format(self):
         m = training.EpochMetrics(epoch=2, train_loss=0.5, train_acc=0.75,
@@ -289,7 +301,7 @@ def per_example_train(examples, table, hp):
                 forward(ex, table, params, CFG, mode="train", rng=g,
                         dropout_rate=hp.dropout_rate).probs, ex.label_index)
                    for ex in batch]
-            total = T.add(T.tmean(T.stack(ces)), training.l2_penalty(params, hp.l2_weight))
+            total = T.add(T.tmean(stack(ces)), training.l2_penalty(params, hp.l2_weight))
             params.zero_grad()
             total.backward()
             sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
@@ -404,7 +416,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("damage", [
         "empty", "truncated", "trailing", "non_finite", "renamed", "reshaped",
-        "huge_dims", "huge_record", "huge_claim", "float32"])
+        "huge_dims", "huge_record", "huge_claim", "float32", "four_classes",
+        "dims_string", "hyperparams_number"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         """Huge shapes, in the header's dims or in a record's own header, are
         refused before anything of that size is allocated."""
@@ -422,10 +435,17 @@ class TestCheckpoint:
             doc["dims"]["d"] = 5
         if damage in ("huge_dims", "huge_claim"):
             doc["dims"].update(d=10**7, d_h=10**7)
+        if damage == "four_classes":  # as an older header could state it
+            doc["dims"]["n_classes"] = 4
+        if damage == "dims_string":
+            doc["dims"] = "d=4"
+        if damage == "hyperparams_number":
+            doc["hyperparams"] = 5
         edited = json.dumps(doc).encode() + b"\n" + records
         path.write_bytes({"empty": b"", "truncated": blob[:-7], "trailing": blob + b"\0",
                           "non_finite": blob, "renamed": edited, "reshaped": edited,
-                          "huge_dims": edited}.get(damage, b""))
+                          "huge_dims": edited, "dims_string": edited,
+                          "hyperparams_number": edited}.get(damage, b""))
         if damage == "huge_record":  # the header's dims are right, the record's shape is not
             write_records(path, header, params, claims={"left.u": (10**6, 10**6)})
         if damage == "huge_claim":  # header and record agree on a shape the file cannot hold
@@ -433,15 +453,40 @@ class TestCheckpoint:
                           claims={"left.w": (2, 4 * 10**7, 10**7)})
         if damage == "float32":
             write_records(path, header, params, arrays={"clf.b": np.float32([1, 2, 3])})
+        if damage == "four_classes":  # a fourth class row, with a large bias to win argmax
+            write_records(path, edited.split(b"\n", 1)[0], params, arrays={
+                "clf.w": np.vstack([params.clf_w.data, params.clf_w.data[:1]]),
+                "clf.b": np.array([0.0, 0.0, 0.0, 100.0])})
         reason = {"truncated": "clf.b: the file ends inside its record",
                   "trailing": "trailing bytes", "non_finite": "clf.w is not a finite",
                   "renamed": "names do not match", "reshaped": r"left.w .* shape \(2, 8, 5\)",
                   "huge_dims": r"left.w .* shape \(2, 40000000, 10000000\)",
                   "huge_record": r"left.u .* shape \(2, 8, 2\)",
                   "huge_claim": "left.w: the file ends inside its record",
-                  "float32": r"clf.b is not a finite float64 array of shape \(3,\)"}
+                  "float32": r"clf.b is not a finite float64 array of shape \(3,\)",
+                  "four_classes": r"clf.w is not a finite float64 array of shape \(3, 16\)",
+                  "dims_string": "dims is not a JSON object",
+                  "hyperparams_number": "hyperparams is not a JSON object"}
         with pytest.raises(CheckpointError, match=reason.get(damage, "bad checkpoint")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_header_with_the_dropped_keys_loads(self, tmp_path, variant):
+        """Format-4 files also held "regularize_biases": true and "n_classes": 3;
+        they still load, with the same tensors."""
+        params, cfg = tiny_params(seed=8, variant=variant)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        header, records = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        assert "regularize_biases" not in doc["hyperparams"] and doc["dims"] == {"d": 4, "d_h": 2}
+        doc["hyperparams"]["regularize_biases"] = True
+        doc["dims"]["n_classes"] = 3
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+        loaded, loaded_cfg, loaded_hp = load_checkpoint(path)
+        assert loaded_cfg == cfg and loaded_hp == HP and loaded.dims == params.dims
+        assert [(n, t.data.tobytes()) for n, t in loaded.named()] == [
+            (n, t.data.tobytes()) for n, t in params.named()]
 
     def test_fortran_order_record_loads(self, tmp_path):
         """np.save writes an F-contiguous array as a Fortran-order record;
