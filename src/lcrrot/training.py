@@ -12,21 +12,22 @@ one draw per example. Accuracy passes use ``evalreport.predict_all``, which
 runs batches of at most ``EVAL_ROWS`` padded rows without recording a graph.
 
 Checkpoint format 4: one JSON line holding ``format_version``, ``variant``,
-``hyperparams``, ``dims`` (``d`` and ``d_h``) and the parameter names
-(``params``, in ``ModelParams.named()`` order: ``left.w``, ``left.u``, ...),
-then one raw ``.npy`` record per parameter, so the round trip is bit-exact;
-older formats are rejected. Older format-4 headers also hold ``n_classes``
-and ``regularize_biases``; the loader drops both, and the records must fit
-three classes. Saves write ``<path>.tmp`` and rename it into place, so a
-failed save leaves an earlier file at ``path`` intact.
+``hyperparams``, ``dims`` (``d``, ``d_h``) and ``params``, the parameter names in
+``ModelParams.named()`` order, then each one's version 1.0, C-order float64 ``.npy``
+record as ``np.save`` writes it, so the round trip is bit-exact. Loads compare each
+record header byte for byte with ``npy_header``, refuse other layouts and formats
+before reading their data, and drop the ``n_classes`` and ``regularize_biases`` keys
+of older format-4 headers. Saves write ``<path>.tmp`` and rename it into place.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -197,6 +198,14 @@ def copy_params(params: ModelParams) -> ModelParams:
                                   {name: t.data.copy() for name, t in params.named()})
 
 
+@lru_cache(maxsize=None)
+def npy_header(shape: tuple) -> bytes:
+    """The ``.npy`` 1.0 header and magic that ``np.save`` writes for a C-order float64 array."""
+    npy.write_array_header_1_0(buf := io.BytesIO(), {  # int(): (4.0,) and (4,) share a key
+        "descr": "<f8", "fortran_order": False, "shape": tuple(map(int, shape))})
+    return buf.getvalue()
+
+
 def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
                     path):
     header = {
@@ -211,7 +220,7 @@ def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
             for _, t in params.named():
-                np.save(fh, t.data, allow_pickle=False)
+                fh.writelines((npy_header(t.data.shape), np.ascontiguousarray(t.data, "<f8")))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -240,24 +249,19 @@ def load_checkpoint(path) -> tuple[ModelParams, VariantConfig, Hyperparams]:
                 raise ValueError(f"parameter names do not match a {variant.value} model")
             file_size, arrays = os.fstat(fh.fileno()).st_size, {}
             for name, shape in shapes.items():
-                # each .npy header is checked before any of its record's data is read
-                expected = f"{name} is not a finite float64 array of shape {shape}"
-                read_header = {(1, 0): npy.read_array_header_1_0,
-                               (2, 0): npy.read_array_header_2_0}.get(npy.read_magic(fh))
-                if read_header is None:
-                    raise ValueError(f"{name}: not a version 1 or 2 .npy record")
-                stored_shape, fortran_order, dtype = read_header(fh)
-                if stored_shape != shape or dtype != np.float64:
+                # each record's header must be the bytes save_checkpoint writes for its shape
+                expected = f"{name} is not a finite float64 array of shape {shape} in C order"
+                if fh.read(len(head := npy_header(shape))) != head:
                     raise ValueError(expected)
                 count = math.prod(shape)  # checked against the bytes left before allocating
                 if (8 * count > file_size - fh.tell()
                         or fh.readinto(arr := np.empty(count)) != 8 * count):
                     raise ValueError(f"{name}: the file ends inside its record")
-                arrays[name] = arr.reshape(shape, order="F" if fortran_order else "C")
+                arrays[name] = arr.reshape(shape)
                 if not np.isfinite(arr).all():
                     raise ValueError(expected)
             if fh.read(1):
                 raise ValueError("trailing bytes after the last parameter")
-        except (KeyError, TypeError, ValueError, EOFError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad checkpoint ({exc})") from None
     return ModelParams.from_named(variant, dims, arrays), cfg, hp

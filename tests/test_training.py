@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,14 +33,17 @@ def matrix_hash(table):
     return hash(tuple((key, row.tobytes()) for key, row in table.rows.items()))
 
 
-def write_records(path, header, params, claims=(), arrays=()):
+def write_records(path, header, params, claims=(), arrays=(), raw=()):
     """Write a checkpoint of this header line and these parameters, where a
-    record named in ``arrays`` holds that array instead, and one named in
-    ``claims`` keeps its data but its ``.npy`` header claims the given shape."""
+    record named in ``arrays`` holds that array instead, one named in
+    ``claims`` keeps its data but its ``.npy`` header claims the given shape,
+    and one named in ``raw`` is written as those bytes."""
     with open(path, "wb") as fh:
         fh.write(header + b"\n")
         for name, t in params.named():
-            if name in claims:
+            if name in raw:
+                fh.write(raw[name])
+            elif name in claims:
                 np.lib.format.write_array_header_1_0(
                     fh, {"descr": "<f8", "fortran_order": False, "shape": claims[name]})
                 fh.write(t.data.tobytes())
@@ -488,17 +493,70 @@ class TestCheckpoint:
         assert [(n, t.data.tobytes()) for n, t in loaded.named()] == [
             (n, t.data.tobytes()) for n, t in params.named()]
 
-    def test_fortran_order_record_loads(self, tmp_path):
-        """np.save writes an F-contiguous array as a Fortran-order record;
-        it loads with the same values."""
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_file_is_header_line_then_np_save_records(self, tmp_path, variant):
+        params, cfg = tiny_params(seed=5, variant=variant)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        doc = {"format_version": 4, "variant": variant.value, "hyperparams": asdict(HP),
+               "dims": {"d": 4, "d_h": 2}, "params": [name for name, _ in params.named()]}
+        records = io.BytesIO()
+        for _, t in params.named():
+            np.save(records, t.data, allow_pickle=False)
+        assert path.read_bytes() == json.dumps(doc).encode() + b"\n" + records.getvalue()
+
+    def test_fortran_order_parameter_saves_in_c_order(self, tmp_path):
         params, cfg = tiny_params(seed=6)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, HP, path)
-        header = path.read_bytes().split(b"\n", 1)[0]
-        write_records(path, header, params,
-                      arrays={"left.w": np.asfortranarray(params.left.w.data)})
-        loaded, _, _ = load_checkpoint(path)
-        assert loaded.left.w.data.tolist() == params.left.w.data.tolist()
+        before = path.read_bytes()
+        params.left.w.data = np.asfortranarray(params.left.w.data)
+        save_checkpoint(params, cfg, HP, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("layout", ["fortran_order", "version_2", "padding_byte"])
+    def test_other_record_layout_refused_unread(self, tmp_path, monkeypatch, layout):
+        """np.save writes an F-contiguous array as a Fortran-order record and can
+        write .npy version 2.0; save_checkpoint writes neither. Those records, and
+        a header with one padding space made a tab, are refused before any of
+        their data is allocated or read."""
+        params, cfg = tiny_params(seed=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        w, record = params.left.w.data, io.BytesIO()
+        if layout == "fortran_order":
+            np.save(record, np.asfortranarray(w), allow_pickle=False)
+        if layout == "version_2":
+            np.lib.format.write_array(record, w, version=(2, 0), allow_pickle=False)
+        if layout == "padding_byte":
+            head = training.npy_header(w.shape)
+            record.write(head[:-2] + b"\t\n" + w.tobytes())
+        write_records(path, path.read_bytes().split(b"\n", 1)[0], params,
+                      raw={"left.w": record.getvalue()})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint allocated a record's data")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(CheckpointError,
+                           match=r"left.w is not a finite float64 array of shape \(2, 8, 4\)"):
+            load_checkpoint(path)
+
+    def test_float_dim_leaves_later_saves_intact(self, tmp_path):
+        """Shapes (2, 8, 4.0) and (2, 8, 4) are one key of npy_header's cache, so
+        loading a header with "d": 4.0 must not change what a later save writes."""
+        params, cfg = tiny_params(seed=2)
+        path, edited = tmp_path / "model.ckpt", tmp_path / "float.ckpt"
+        save_checkpoint(params, cfg, HP, path)
+        header, records = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["dims"]["d"] = 4.0
+        edited.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+        training.npy_header.cache_clear()
+        with pytest.raises(CheckpointError):
+            load_checkpoint(edited)
+        save_checkpoint(params, cfg, HP, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_load_draws_no_model(self, tmp_path, monkeypatch):
         params, cfg = tiny_params(seed=4, variant=Variant.NO_TARGET_LEARNED)
@@ -519,16 +577,16 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, HP, path)
         before = path.read_bytes()
-        real_save = np.save
+        real_header = training.npy_header
         calls = []
 
-        def failing_save(*args, **kwargs):
+        def failing_header(shape):  # fails as the fifth record is written
             calls.append(1)
             if len(calls) == 5:
                 raise OSError("disk full")
-            real_save(*args, **kwargs)
+            return real_header(shape)
 
-        monkeypatch.setattr(np, "save", failing_save)
+        monkeypatch.setattr(training, "npy_header", failing_header)
         other, _ = tiny_params(seed=2)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(other, cfg, HP, path)
