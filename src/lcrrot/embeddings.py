@@ -11,12 +11,20 @@ Rows are never modified by training: ``lookup`` returns copies. A file is
 read ``CHUNK_LINES`` lines at a time, each chunk's numbers parsed by one
 numpy call, so loading holds at most one chunk beyond the table; the rows
 and the errors are those of a line-by-line parse (see ``load_pretrained``).
+
+A parsed file's table is kept beside it, if the directory takes it, in
+``<file>.lcrrot``: a JSON line (``format_version``, the blake2b ``digest`` of
+the file's bytes, ``dim``, the ``tokens`` in order), then C-order ``<f8`` rows
+as in a checkpoint, 8 x rows x dim bytes. It may be deleted at any time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+from contextlib import suppress
 from itertools import islice
 from typing import IO
 
@@ -25,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 CHUNK_LINES = 512  # lines per numpy parse
+COPY_SUFFIX, COPY_VERSION = ".lcrrot", 1  # the binary copy beside a vector file
 
 
 class EmbeddingTable:
@@ -71,8 +80,15 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
     use beyond the table is one chunk. A chunk it rejects is parsed again
     line by line, which accepts what ``float`` accepts (``1_0``, non-ASCII
     digits) and raises the first fault in file order, as before.
+
+    A regular file read as strict UTF-8 from its start loads from its copy if
+    that matches its bytes and ``dim`` and holds exactly its rows, all finite;
+    else it is parsed and the copy rewritten unless the file changed meanwhile.
     """
     table = EmbeddingTable(dim=dim, seed=seed)
+    if (found := _hash_file(source)) and (rows := _read_copy(found[0], found[2], dim)) is not None:
+        table.rows = rows
+        return table
     numbered = ((n, line) for n, line in enumerate(source, start=1) if line.strip())
     while chunk := list(islice(numbered, CHUNK_LINES)):
         heads = [line.split(None, 1) for _, line in chunk]
@@ -105,4 +121,47 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
             if not math.isfinite(total):  # NaN and inf carry through the sum
                 raise FormatError(f"line {lineno}: non-finite value for {token!r}")
             table.rows.setdefault(token, np.array(values))
+    if found:
+        name, key, digest = found
+        tmp = f"{name}{COPY_SUFFIX}.{os.getpid()}.tmp"
+        try:
+            if ((now := os.stat(name)).st_size, now.st_mtime_ns, now.st_ino) == key:
+                with open(tmp, "wb") as fh:
+                    fh.write(json.dumps({"format_version": COPY_VERSION, "digest": digest,
+                                         "dim": dim, "tokens": list(table.rows)}).encode())
+                    fh.writelines([b"\n", *(np.asarray(r, "<f8") for r in table.rows.values())])
+                os.replace(tmp, name + COPY_SUFFIX)
+        except OSError:
+            with suppress(OSError):
+                os.remove(tmp)
     return table
+
+
+def _hash_file(source):
+    """The name, (size, mtime, inode) and blake2b hex digest of the regular
+    file ``source`` reads as strict UTF-8 from its start, else None."""
+    with suppress(AttributeError, OSError, TypeError, ValueError):
+        if (isinstance(source.name, str) and os.path.isfile(source.name) and source.tell() == 0
+                and source.errors == "strict" and source.encoding.lower() in ("utf-8", "utf8")):
+            with open(source.name, "rb") as fh:
+                if os.path.samestat(st := os.fstat(fh.fileno()), os.fstat(source.fileno())):
+                    digest = hashlib.blake2b()
+                    while block := fh.read(1 << 20):
+                        digest.update(block)
+                    return source.name, (st.st_size, st.st_mtime_ns, st.st_ino), digest.hexdigest()
+    return None  # StringIO, a pipe: no name, encoding, position or regular file
+
+
+def _read_copy(name: str, digest: str, dim: int):
+    """The rows of the copy if it was written for these bytes and ``dim`` and is whole."""
+    with suppress(KeyError, OSError, TypeError, ValueError):  # missing or garbled
+        with open(name + COPY_SUFFIX, "rb") as fh:
+            head, size = json.loads(fh.readline()), os.fstat(fh.fileno()).st_size - fh.tell()
+            tokens = head["tokens"]  # the size is checked before the rows are allocated
+            if (type(tokens) is list and [head["format_version"], head["digest"], head["dim"]]
+                    == [COPY_VERSION, digest, dim] and 8 * len(tokens) * dim == size):
+                rows = dict(zip(tokens, block := np.empty((len(tokens), dim), "<f8")))
+                if (fh.readinto(block) == size and np.isfinite(block).all()
+                        and len(rows) == len(tokens) and all(type(t) is str for t in rows)):
+                    return rows
+    return None

@@ -75,8 +75,9 @@ class Dimensions:
     d_h: int = 300      # LSTM hidden size per direction
 
     def __post_init__(self):
-        if min(self.d, self.d_h) < 1:
-            raise ConfigError(f"every dimension must be at least 1, got {self}")
+        for name in ("d", "d_h"):  # type(): a bool is an int, a JSON header may hold one
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
 
     @property
     def hidden(self) -> int:

@@ -66,12 +66,12 @@ class Hyperparams:
             raise ConfigError("dropout rate must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.max_epochs < 0:
-            raise ConfigError("epoch count must not be negative")
-        if self.seed < 0:
-            raise ConfigError("seed must not be negative")
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ConfigError(f"batch_size must be an integer of at least 1, got {self.batch_size!r}")
+        if type(self.max_epochs) is not int or self.max_epochs < 0:
+            raise ConfigError(f"max_epochs must be a non-negative integer, got {self.max_epochs!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class OptimizerState:
@@ -201,8 +201,8 @@ def copy_params(params: ModelParams) -> ModelParams:
 @lru_cache(maxsize=None)
 def npy_header(shape: tuple) -> bytes:
     """The ``.npy`` 1.0 header and magic that ``np.save`` writes for a C-order float64 array."""
-    npy.write_array_header_1_0(buf := io.BytesIO(), {  # int(): (4.0,) and (4,) share a key
-        "descr": "<f8", "fortran_order": False, "shape": tuple(map(int, shape))})
+    npy.write_array_header_1_0(buf := io.BytesIO(), {
+        "descr": "<f8", "fortran_order": False, "shape": shape})
     return buf.getvalue()
 
 

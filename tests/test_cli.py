@@ -11,7 +11,7 @@ from lcrrot import cli, evalreport, gradcheck, training
 from lcrrot import tensor as T
 from lcrrot.cli import run
 from lcrrot.corpus import load_examples
-from lcrrot.embeddings import EmbeddingTable
+from lcrrot.embeddings import COPY_SUFFIX, EmbeddingTable
 from lcrrot.errors import CheckpointError
 from lcrrot.model import Variant, is_bias
 
@@ -265,6 +265,38 @@ def test_non_finite_vector_row_is_data_error(corpus_file, tmp_path, capsys, valu
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_outputs_are_the_same_with_and_without_the_vector_files_copy(
+        corpus_file, tmp_path, capsys, monkeypatch):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"the 0.1 0.2 0.3 0.4 0.5 0.6\r\nBattery -0.1 2e-3 0 0.4 -0.5 6\r\n"
+                        b"was 1_0 0 0 0 0 1\r\nTHE 9 9 9 9 9 9\r\n")
+    copy, ckpt, viz = tmp_path / f"vectors.txt{COPY_SUFFIX}", tmp_path / "model.ckpt", tmp_path / "viz"
+    common = ["--checkpoint", str(ckpt), "--embeddings", str(vectors)]
+    commands = [
+        base_train_args(corpus_file, tmp_path, extra=["--embeddings", str(vectors)]),
+        ["eval", *common, "--test-corpus", str(corpus_file), "--train-corpus", str(corpus_file)],
+        *(["viz", *common, "--corpus", str(corpus_file), "--indices", "0,1,2",
+           "--format", fmt, "--out-dir", str(viz)] for fmt in ("json", "html"))]
+
+    def run_all(before_each):
+        outputs = []
+        for argv in commands:
+            before_each()
+            assert run(argv) == 0
+            outputs += [capsys.readouterr().out, ckpt.read_bytes()]
+        return outputs + [(p.name, p.read_bytes()) for p in sorted(viz.iterdir())]
+
+    without_copy = run_all(lambda: copy.unlink(missing_ok=True))
+    assert copy.is_file()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vector file was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert run_all(lambda: None) == without_copy
+    assert len(without_copy) == 2 * len(commands) + 6
+
+
 @pytest.mark.parametrize("damage", ["missing_dir", "directory", "read_only_dir"])
 @pytest.mark.parametrize("flag", ["--checkpoint", "--metrics"])
 def test_unwritable_output_path_is_rejected_before_training(
@@ -382,6 +414,27 @@ def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("section, field", [
+    ("dims", "d"), ("dims", "d_h"), ("hyperparams", "batch_size"),
+    ("hyperparams", "max_epochs"), ("hyperparams", "seed")])
+def test_non_integer_checkpoint_field_is_data_error(corpus_file, tmp_path, capsys,
+                                                    section, field, value):
+    assert run(base_train_args(corpus_file, tmp_path)) == 0
+    path = tmp_path / "model.ckpt"
+    header, records = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc[section][field] = value
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + records)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--test-corpus", str(corpus_file)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith(f"error: {path}: bad checkpoint ({field} must be ")
+    assert err[0].endswith(f", got {value!r})")
 
 
 ENCODERS = ("left", "right", "center")

@@ -1,13 +1,24 @@
+import errno
 import io
+import json
+import os
 import random
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcrrot.embeddings import CHUNK_LINES, EmbeddingTable, load_pretrained
+from lcrrot import embeddings
+from lcrrot import tensor as T
+from lcrrot.corpus import Example
+from lcrrot.embeddings import CHUNK_LINES, COPY_SUFFIX, EmbeddingTable, load_pretrained
 from lcrrot.errors import FormatError
+from lcrrot.evalreport import predict_all
+from lcrrot.model import Dimensions, VariantConfig, forward, init_params
 
 
 def test_load_basic_line():
@@ -67,11 +78,9 @@ SEPARATORS = (" ", "\t", "   ", " \t ", "\u00a0")
 TOKENS = ("the", "The", "THE", "cat", "Cat", "Ünïcode", "ünïcode")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5),
-       n_lines=st.integers(0, 2 * CHUNK_LINES + 40),
-       underscores=st.booleans(), crlf=st.booleans())
-def test_rows_match_the_line_by_line_rules(seed, dim, n_lines, underscores, crlf):
+def vector_text(seed, dim, n_lines, underscores, crlf):
+    """A well-formed vector file: blank lines, repeated and mixed-case tokens,
+    varied separators and number spellings (``1_0`` if ``underscores``)."""
     rnd = random.Random(seed)  # one draw per file keeps a 1 000-line example cheap
     spellings = SPELLINGS if underscores else SPELLINGS[:-1]
     lines = []
@@ -84,7 +93,15 @@ def test_rows_match_the_line_by_line_rules(seed, dim, n_lines, underscores, crlf
                   for _ in range(dim)]
         sep = rnd.choice(SEPARATORS)
         lines.append(token + sep + sep.join(values) + rnd.choice(("", " ", "\t")))
-    text = "".join(line + ("\r\n" if crlf else "\n") for line in lines)
+    return "".join(line + ("\r\n" if crlf else "\n") for line in lines)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5),
+       n_lines=st.integers(0, 2 * CHUNK_LINES + 40),
+       underscores=st.booleans(), crlf=st.booleans())
+def test_rows_match_the_line_by_line_rules(seed, dim, n_lines, underscores, crlf):
+    text = vector_text(seed, dim, n_lines, underscores, crlf)
     expected = oracle_rows(text)
     table = load_pretrained(io.StringIO(text), dim=dim)
     assert list(table.rows) == list(expected)
@@ -189,3 +206,188 @@ def test_embed_sequence_shapes():
 def test_empty_token_rejected():
     with pytest.raises(ValueError):
         EmbeddingTable(dim=3).lookup("")
+
+
+def load_file(path, dim, encoding="utf-8", errors="strict"):
+    """Load ``path`` as the CLI opens it; also say whether the text was parsed
+    (the stream was read to its end) or the binary copy read (it was not read)."""
+    with open(path, encoding=encoding, errors=errors) as fh:
+        table = load_pretrained(fh, dim=dim, seed=5)
+        return table, fh.read(1) == ""
+
+
+def rows_bytes(table):
+    return [(token, row.dtype.str, row.tobytes()) for token, row in table.rows.items()]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5),
+       n_lines=st.integers(1, 2 * CHUNK_LINES + 40),
+       underscores=st.booleans(), crlf=st.booleans())
+def test_copy_gives_the_parsed_table(seed, dim, n_lines, underscores, crlf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.txt"
+        path.write_bytes(vector_text(seed, dim, n_lines, underscores, crlf).encode("utf-8"))
+        parsed, was_parsed = load_file(path, dim)
+        assert was_parsed and Path(f"{path}{COPY_SUFFIX}").is_file()
+        copied, was_parsed = load_file(path, dim)
+        assert not was_parsed
+        assert rows_bytes(copied) == rows_bytes(parsed)
+        assert (copied.dim, copied.seed, copied.oov_log) == (parsed.dim, parsed.seed, set())
+        # OOV draws, and the probabilities of a model reading both tables
+        words = [*list(parsed.rows)[:6], "Zzyzx", "unseen", *[t.upper() for t in parsed.rows][:3]]
+        examples = [Example(left=tuple(words[i:i + 3]), target=(words[i - 1],),
+                            right=tuple(words[i + 1:i + 2]), label="neutral")
+                    for i in range(len(words))]
+        params = init_params(Dimensions(d=dim, d_h=2), VariantConfig(),
+                             np.random.default_rng(seed))
+        with T.no_grad():
+            probs = [forward(examples, table, params, VariantConfig(), mode="eval").probs.data
+                     for table in (parsed, copied)]
+        assert probs[0].tobytes() == probs[1].tobytes()
+        assert (predict_all(examples, parsed, params, VariantConfig())
+                == predict_all(examples, copied, params, VariantConfig()))
+        assert rows_bytes(copied) == rows_bytes(parsed)  # the same OOV rows, in order
+
+
+def edit_copy(copy: Path, damage: str):
+    header, rows = copy.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    if damage == "truncated":
+        copy.write_bytes(header + b"\n" + rows[:-3])
+    elif damage == "trailing_byte":
+        copy.write_bytes(header + b"\n" + rows + b"\0")
+    elif damage == "garbled_header":
+        copy.write_bytes(b"\xff\xfe" + header[2:] + b"\n" + rows)
+    elif damage == "garbled_row":  # a NaN in the second row
+        copy.write_bytes(header + b"\n" + rows[:24] + b"\xff" * 8 + rows[32:])
+    elif damage == "tokens_not_a_list":
+        doc["tokens"] = "abc"  # as many characters as the file has rows
+        copy.write_bytes(json.dumps(doc).encode() + b"\n" + rows)
+    elif damage == "repeated_token":
+        doc["tokens"][1] = doc["tokens"][0]
+        copy.write_bytes(json.dumps(doc).encode() + b"\n" + rows)
+    else:  # another version, digest or dim, with the same rows
+        key = {"other_version": "format_version", "other_digest": "digest",
+               "other_dim": "dim"}[damage]
+        doc[key] = {"format_version": 2, "digest": "0" * 128, "dim": 1}[key]
+        copy.write_bytes(json.dumps(doc).encode() + b"\n" + rows)
+
+
+TEXT = "a 1.5 2\nB 3 4\nc 1_0 -0.5\na 7 8\n"  # 3 tokens, 2 values each
+
+
+@pytest.mark.parametrize("damage", ["edited_same_size", "truncated", "trailing_byte",
+                                    "garbled_header", "garbled_row", "tokens_not_a_list",
+                                    "repeated_token", "other_version", "other_digest",
+                                    "other_dim"])
+def test_copy_that_does_not_fit_is_parsed_again_and_rewritten(tmp_path, damage):
+    path, copy = tmp_path / "vectors.txt", tmp_path / f"vectors.txt{COPY_SUFFIX}"
+    path.write_text(TEXT, encoding="utf-8")
+    load_file(path, 2)
+    if damage == "edited_same_size":  # one digit changed, the mtime put back
+        st = path.stat()
+        path.write_text(TEXT.replace("3 4", "3 5"), encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.stat().st_mtime_ns == st.st_mtime_ns and path.stat().st_size == st.st_size
+    else:
+        edit_copy(copy, damage)
+    table, was_parsed = load_file(path, 2)
+    assert was_parsed
+    assert rows_bytes(table) == rows_bytes(load_pretrained(io.StringIO(path.read_text()), 2))
+    again, was_parsed = load_file(path, 2)
+    assert not was_parsed and rows_bytes(again) == rows_bytes(table)
+
+
+def test_other_dim_is_parsed(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text(TEXT, encoding="utf-8")
+    load_file(path, 2)
+    with pytest.raises(FormatError, match="^line 1: expected 3 values, found 2"):
+        load_file(path, 3)
+
+
+@pytest.fixture
+def refuse_writes(monkeypatch):
+    """Make the module's ``open`` refuse to create files, as a read-only
+    directory does (the tests may run as root, who may write anywhere)."""
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", guarded_open, raising=False)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every file the module writes fail at its first write, after it
+    was created, as a full disk does."""
+    class Full(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_open(file, mode="r", *args, **kwargs):
+        return Full(file, "w") if "w" in mode else open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", full_open, raising=False)
+
+
+@pytest.mark.parametrize("source", ["read_only_dir", "full_disk", "string_io", "latin_1",
+                                    "not_at_start", "replace_errors", "pipe"])
+def test_streams_that_get_no_copy(tmp_path, request, source):
+    path = tmp_path / "vectors.txt"
+    path.write_text(TEXT, encoding="utf-8")
+    expected = rows_bytes(load_pretrained(io.StringIO(TEXT), 2))
+    if source in ("read_only_dir", "full_disk"):
+        request.getfixturevalue("refuse_writes" if source == "read_only_dir" else "full_disk")
+        for _ in range(2):
+            table, was_parsed = load_file(path, 2)
+            assert was_parsed and rows_bytes(table) == expected
+    elif source == "string_io":
+        assert rows_bytes(load_pretrained(io.StringIO(TEXT), 2)) == expected
+    elif source in ("latin_1", "replace_errors"):
+        kwargs = {"encoding": "latin-1"} if source == "latin_1" else {"errors": "replace"}
+        table, was_parsed = load_file(path, 2, **kwargs)
+        assert was_parsed and rows_bytes(table) == expected
+    elif source == "not_at_start":
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            table = load_pretrained(fh, 2)
+        assert rows_bytes(table) == rows_bytes(
+            load_pretrained(io.StringIO(TEXT.split("\n", 1)[1]), 2))
+    else:
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=lambda: os.write(write_end, TEXT.encode()))
+        writer.start()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as fh:
+            assert rows_bytes(load_pretrained(fh, 2)) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt"]
+
+
+def test_malformed_file_names_its_line_and_gets_no_copy(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text(TEXT + "d 1 oops\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^line 5: unparsable number"):
+        load_file(path, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt"]
+
+
+def test_file_changed_during_the_parse_gets_no_copy(tmp_path, monkeypatch):
+    """The copy must hold the bytes that were hashed: a file written to while
+    it is parsed (here, when numpy parses its first chunk) gets none."""
+    path = tmp_path / "vectors.txt"
+    path.write_text(TEXT, encoding="utf-8")
+    real_loadtxt = np.loadtxt
+
+    def append_then_parse(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("e 1 2\n")
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", append_then_parse)
+    load_file(path, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt"]

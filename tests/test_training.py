@@ -281,10 +281,20 @@ class TestHyperparams:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("l2_weight", math.nan),
         ("l2_weight", math.inf), ("l2_weight", -1e-5),
-        ("dropout_rate", math.nan), ("momentum", math.nan), ("seed", -1)])
+        ("dropout_rate", math.nan), ("momentum", math.nan), ("seed", -1),
+        ("batch_size", 2.5), ("batch_size", True), ("max_epochs", 1.5),
+        ("max_epochs", True), ("seed", 1.5), ("seed", True)])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ConfigError):
             Hyperparams(**{field: value})
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("value", [4.0, True, "4"])
+    @pytest.mark.parametrize("field", ["d", "d_h"])
+    def test_non_integer_dimension_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            Dimensions(**{field: value})
 
     def test_zero_l2_and_seed_accepted(self):
         Hyperparams(l2_weight=0.0, seed=0)
