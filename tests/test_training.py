@@ -288,6 +288,9 @@ class TestHyperparams:
         with pytest.raises(ConfigError):
             Hyperparams(**{field: value})
 
+    def test_zero_l2_and_seed_accepted(self):
+        Hyperparams(l2_weight=0.0, seed=0)
+
 
 class TestDimensions:
     @pytest.mark.parametrize("value", [4.0, True, "4"])
@@ -295,9 +298,6 @@ class TestDimensions:
     def test_non_integer_dimension_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
             Dimensions(**{field: value})
-
-    def test_zero_l2_and_seed_accepted(self):
-        Hyperparams(l2_weight=0.0, seed=0)
 
 
 def per_example_train(examples, table, hp):
