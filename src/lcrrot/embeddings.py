@@ -13,9 +13,11 @@ numpy call, so loading holds at most one chunk beyond the table; the rows
 and the errors are those of a line-by-line parse (see ``load_pretrained``).
 
 A parsed file's table is kept beside it, if the directory takes it, in
-``<file>.lcrrot``: a JSON line (``format_version``, the blake2b ``digest`` of
+``<file>.lcrrot``: a JSON line (``format_version`` 2, the sha256 ``digest`` of
 the file's bytes, ``dim``, the ``tokens`` in order), then C-order ``<f8`` rows
-as in a checkpoint, 8 x rows x dim bytes. It may be deleted at any time.
+as in a checkpoint, 8 x rows x dim bytes. It may be deleted at any time. A
+copy of another version (version 1 held a blake2b digest) is not read: the
+file is parsed once again and the copy rewritten. The OOV seed keeps blake2b.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 CHUNK_LINES = 512  # lines per numpy parse
-COPY_SUFFIX, COPY_VERSION = ".lcrrot", 1  # the binary copy beside a vector file
+COPY_SUFFIX, COPY_VERSION = ".lcrrot", 2  # the binary copy beside a vector file
 
 
 class EmbeddingTable:
@@ -138,16 +140,17 @@ def load_pretrained(source: IO[str], dim: int, seed: int = 1) -> EmbeddingTable:
 
 
 def _hash_file(source):
-    """The name, (size, mtime, inode) and blake2b hex digest of the regular
-    file ``source`` reads as strict UTF-8 from its start, else None."""
+    """The name, (size, mtime, inode) and sha256 hex digest of the regular
+    file ``source`` reads as strict UTF-8 from its start, else None. OpenSSL's
+    sha256 uses the CPU's SHA extensions, where there are any."""
     with suppress(AttributeError, OSError, TypeError, ValueError):
         if (isinstance(source.name, str) and os.path.isfile(source.name) and source.tell() == 0
                 and source.errors == "strict" and source.encoding.lower() in ("utf-8", "utf8")):
             with open(source.name, "rb") as fh:
                 if os.path.samestat(st := os.fstat(fh.fileno()), os.fstat(source.fileno())):
-                    digest = hashlib.blake2b()
-                    while block := fh.read(1 << 20):
-                        digest.update(block)
+                    digest, block = hashlib.sha256(), memoryview(bytearray(1 << 20))
+                    while size := fh.readinto(block):
+                        digest.update(block[:size])
                     return source.name, (st.st_size, st.st_mtime_ns, st.st_ino), digest.hexdigest()
     return None  # StringIO, a pipe: no name, encoding, position or regular file
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from lcrrot import embeddings
 from lcrrot import tensor as T
 from lcrrot.corpus import Example
-from lcrrot.embeddings import CHUNK_LINES, COPY_SUFFIX, EmbeddingTable, load_pretrained
+from lcrrot.embeddings import (CHUNK_LINES, COPY_SUFFIX, COPY_VERSION, EmbeddingTable,
+                               load_pretrained)
 from lcrrot.errors import FormatError
 from lcrrot.evalreport import predict_all
 from lcrrot.model import Dimensions, VariantConfig, forward, init_params
@@ -176,6 +178,13 @@ def test_oov_repeat_returns_identical_row():
     assert "zzyzx" in table.oov_log
 
 
+def test_oov_row_is_pinned():
+    # every OOV row of every saved model hangs on the per-token blake2b seed
+    row = EmbeddingTable(dim=4, seed=1).lookup("zzyzx")
+    assert row.tobytes().hex() == ("32ff45992ff2b5bf301d2961acabb8bf"
+                                   "7682f4d6b931b0bfb62eef542f8cb63f")
+
+
 def test_oov_sequence_reproducible_and_bounded():
     # an OOV row depends on (seed, lowercased token), not on lookup order
     tokens = [f"tok{i}" for i in range(50)]
@@ -270,7 +279,7 @@ def edit_copy(copy: Path, damage: str):
     else:  # another version, digest or dim, with the same rows
         key = {"other_version": "format_version", "other_digest": "digest",
                "other_dim": "dim"}[damage]
-        doc[key] = {"format_version": 2, "digest": "0" * 128, "dim": 1}[key]
+        doc[key] = {"format_version": COPY_VERSION + 1, "digest": "0" * 64, "dim": 1}[key]
         copy.write_bytes(json.dumps(doc).encode() + b"\n" + rows)
 
 
@@ -297,6 +306,38 @@ def test_copy_that_does_not_fit_is_parsed_again_and_rewritten(tmp_path, damage):
     assert rows_bytes(table) == rows_bytes(load_pretrained(io.StringIO(path.read_text()), 2))
     again, was_parsed = load_file(path, 2)
     assert not was_parsed and rows_bytes(again) == rows_bytes(table)
+
+
+def test_version_1_copy_is_parsed_again_and_rewritten(tmp_path):
+    """A copy as the version-1 loader wrote it, with a blake2b digest, is not
+    read: the file is parsed and the copy rewritten with its sha256 digest."""
+    path, copy = tmp_path / "vectors.txt", tmp_path / f"vectors.txt{COPY_SUFFIX}"
+    path.write_text(TEXT, encoding="utf-8")
+    parsed = load_pretrained(io.StringIO(TEXT), 2)
+    copy.write_bytes(json.dumps({"format_version": 1,
+                                 "digest": hashlib.blake2b(path.read_bytes()).hexdigest(),
+                                 "dim": 2, "tokens": list(parsed.rows)}).encode()
+                     + b"\n" + b"".join(np.asarray(r, "<f8").tobytes()
+                                        for r in parsed.rows.values()))
+    table, was_parsed = load_file(path, 2)
+    assert was_parsed and rows_bytes(table) == rows_bytes(parsed)
+    doc = json.loads(copy.read_bytes().split(b"\n", 1)[0])
+    assert (doc["format_version"], doc["digest"]) == (
+        COPY_VERSION, hashlib.sha256(path.read_bytes()).hexdigest())
+    again, was_parsed = load_file(path, 2)
+    assert not was_parsed and rows_bytes(again) == rows_bytes(parsed)
+
+
+@pytest.mark.parametrize("size", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1, (3 << 20) + 1])
+def test_copy_digest_is_the_sha256_of_the_file_at_block_boundaries(tmp_path, size):
+    path = tmp_path / "vectors.txt"
+    last = "z 1 2"  # its trailing blanks pad the file to ``size`` bytes
+    path.write_text(TEXT + last + " " * (size - len(TEXT) - len(last) - 1) + "\n",
+                    encoding="utf-8")
+    assert path.stat().st_size == size
+    load_file(path, 2)
+    doc = json.loads((tmp_path / f"vectors.txt{COPY_SUFFIX}").read_bytes().split(b"\n", 1)[0])
+    assert doc["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_other_dim_is_parsed(tmp_path):
