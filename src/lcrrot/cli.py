@@ -273,9 +273,12 @@ def _cmd_ttest(args) -> int:
     def read_numbers(path):
         with _open_text(path) as fh:
             try:
-                return [float(x) for x in fh.read().split()]
+                numbers = [float(x) for x in fh.read().split()]
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from None
+        if bad := [x for x in numbers if not math.isfinite(x)]:
+            raise FormatError(f"{path}: {bad[0]} is not a finite number")
+        return numbers
 
     a = read_numbers(args.file_a)
     b = read_numbers(args.file_b)
@@ -319,7 +322,7 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError(f"tolerance must be positive and finite, got {args.tolerance}")
     hp, _, vcfg, given = _effective_config(args)
     variants = [vcfg.variant] if "variant" in given else ALL_VARIANTS
-    errors = []
+    errors = {}
     for variant in variants:
         # the initial point, and a stressed one where the attention is not uniform
         (name0, err0), (name1, err1) = (gradcheck.worst(gradcheck.gradient_errors(
@@ -327,8 +330,8 @@ def _cmd_gradcheck(args) -> int:
             for stressed in (False, True))
         print(f"{variant.value:<22}\tmax relative error {err0:.3e} in {name0} (initial), "
               f"{err1:.3e} in {name1} (stressed)")
-        errors += [err0, err1]
-    worst = math.nan if any(map(math.isnan, errors)) else max(errors)
+        errors[variant, "initial"], errors[variant, "stressed"] = err0, err1
+    _, worst = gradcheck.worst(errors)
     if not worst < args.tolerance:
         print(f"FAIL: max relative error {worst:.3e} is not below {args.tolerance:.1e}")
         return 3

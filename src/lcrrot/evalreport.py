@@ -15,7 +15,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -172,51 +171,25 @@ def paired_t_test(a, b) -> TTestResult:
 # ---------------------------------------------------------------------------
 # Attention export
 
-@dataclass
-class AttentionExport:
-    left_tokens: list[str]
-    target_tokens: list[str]
-    right_tokens: list[str]
-    alpha_l: list[float]
-    alpha_r: list[float]
-    alpha_tl: list[float]
-    alpha_tr: list[float]
-    predicted: str
-    gold: str
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": {"left": self.left_tokens, "target": self.target_tokens,
-                       "right": self.right_tokens},
-            "weights": {"alpha_l": self.alpha_l, "alpha_r": self.alpha_r,
-                        "alpha_tl": self.alpha_tl, "alpha_tr": self.alpha_tr},
-            "predicted": self.predicted,
-            "gold": self.gold,
-        }
-
-
 def attention_export(ex: Example, table: EmbeddingTable, params: ModelParams,
-                     cfg: VariantConfig) -> AttentionExport:
+                     cfg: VariantConfig) -> dict:
+    """The JSON object that ``viz`` writes for one example, keys in file order; a
+    weight list is ``[]`` for a stage the variant does not run or an empty segment."""
     with T.no_grad():
         res = forward(ex, table, params, cfg, mode="eval")
-    rec = res.record
-
-    def weights(alpha: Optional[np.ndarray]) -> list[float]:
-        return [] if alpha is None else alpha.tolist()
-
-    return AttentionExport(
-        left_tokens=list(ex.left), target_tokens=list(ex.target),
-        right_tokens=list(ex.right),
-        alpha_l=weights(rec.alpha_l), alpha_r=weights(rec.alpha_r),
-        alpha_tl=weights(rec.alpha_tl), alpha_tr=weights(rec.alpha_tr),
-        predicted=LABELS[int(np.argmax(res.probs.data))], gold=ex.label,
-    )
+    return {
+        "tokens": {"left": list(ex.left), "target": list(ex.target), "right": list(ex.right)},
+        "weights": {k: [] if (a := getattr(res.record, k)) is None else a.tolist()
+                    for k in ("alpha_l", "alpha_r", "alpha_tl", "alpha_tr")},
+        "predicted": LABELS[int(np.argmax(res.probs.data))],
+        "gold": ex.label,
+    }
 
 
-def export_json(export: AttentionExport) -> str:
+def export_json(export: dict) -> str:
     # Python's float repr is shortest-round-trip (<= 17 significant digits),
     # so parsing the JSON back recovers the weights bit-exactly.
-    return json.dumps(export.to_dict(), ensure_ascii=False)
+    return json.dumps(export, ensure_ascii=False)
 
 
 _HTML_PAGE = """<!DOCTYPE html>
@@ -261,19 +234,19 @@ def _line(tokens, weights, hue):
     return " ".join(_span(t, w, top, hue) for t, w in zip(tokens, weights))
 
 
-def export_html(export: AttentionExport) -> str:
+def export_html(export: dict) -> str:
     """Self-contained page; the embedded JSON block carries the exact weights."""
+    tokens, weights = export["tokens"], export["weights"]
     context_line = " ".join([
-        _line(export.left_tokens, export.alpha_l, "blue"),
-        _line(export.target_tokens,
-              export.alpha_tl if export.alpha_tl else [], "red"),
-        _line(export.right_tokens, export.alpha_r, "blue"),
+        _line(tokens["left"], weights["alpha_l"], "blue"),
+        _line(tokens["target"], weights["alpha_tl"], "red"),
+        _line(tokens["right"], weights["alpha_r"], "blue"),
     ])
     return _HTML_PAGE.format(
         context_line=context_line,
-        tl_line=_line(export.target_tokens, export.alpha_tl, "red"),
-        tr_line=_line(export.target_tokens, export.alpha_tr, "red"),
-        predicted=html.escape(export.predicted),
-        gold=html.escape(export.gold),
+        tl_line=_line(tokens["target"], weights["alpha_tl"], "red"),
+        tr_line=_line(tokens["target"], weights["alpha_tr"], "red"),
+        predicted=html.escape(export["predicted"]),
+        gold=html.escape(export["gold"]),
         json_blob=export_json(export),
     )

@@ -85,15 +85,6 @@ class Dimensions:
         return 2 * self.d_h
 
 
-def sentence_vector_dim(variant: Variant, dims: Dimensions) -> int:
-    """Dimension of the concatenated sentence representation v: both context
-    vectors, and both attended targets or else the target query, which is a
-    raw embedding mean when there is no center Bi-LSTM."""
-    if "c2t" in STAGES[variant]:
-        return 4 * dims.hidden
-    return 2 * dims.hidden + (dims.d if variant is Variant.NO_TARGET_LEARNED else dims.hidden)
-
-
 @dataclass
 class BiLstmParams:
     """Both directions of a Bi-LSTM, stacked: slice 0 is forward, slice 1
@@ -144,6 +135,13 @@ class ModelParams:
             t.zero_grad()
 
 
+def check_variant(params: ModelParams, cfg: VariantConfig) -> None:
+    """Raise ConfigError unless ``params`` were built for ``cfg``'s variant."""
+    if params.variant is not cfg.variant:
+        raise ConfigError(
+            f"params built for {params.variant.value}, config asks {cfg.variant.value}")
+
+
 def is_bias(name: str) -> bool:
     """Whether the parameter of this ``ModelParams.named()`` name is a bias."""
     return name.endswith(".b") or ".b_" in name
@@ -156,7 +154,7 @@ def param_shapes(variant: Variant, dims: Dimensions) -> dict[str, tuple[int, ...
         "left", "right", "center")
     shapes = {f"{e}.{k}": shape for e in encoders
               for k, shape in (("w", (2, g, dims.d)), ("u", (2, g, dims.d_h)), ("b", (2, g)))}
-    q = h if "center" in encoders else dims.d  # the width of the target query
+    q = h if "center" in encoders else dims.d  # the target query's width, in v without c2t
     weights = {}
     if "t2c" in stages:
         weights.update(w_cl=(h, q), w_cr=(h, q))
@@ -164,7 +162,7 @@ def param_shapes(variant: Variant, dims: Dimensions) -> dict[str, tuple[int, ...
         weights.update(w_tl=(h, h), w_tr=(h, h))
     attention = weights | {"b" + name[1:]: () for name in weights}
     shapes.update((f"attention.{name}", attention[name]) for name in sorted(attention))
-    shapes["clf.w"] = (len(LABELS), sentence_vector_dim(variant, dims))
+    shapes["clf.w"] = (len(LABELS), 4 * h if "c2t" in stages else 2 * h + q)
     shapes["clf.b"] = (len(LABELS),)
     return shapes
 
@@ -248,12 +246,12 @@ def _embed_batch(table: EmbeddingTable, segments) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class AttentionRecord:
-    """Attention weights and component representations from one forward pass.
-
+    """Attention weights and the context and attended target vectors of one
+    forward pass. t2c gives alpha_l and alpha_r, and c2t gives alpha_tl,
+    alpha_tr, r_tl and r_tr; each is None when the variant runs no such stage.
     For a batch every array has a leading batch axis, and weights are 0 at
-    padding; a weight array is None when it has no columns, its segment empty
-    in every example. For one example the batch axis is squeezed away.
-    """
+    padding; a weight array is also None when it has no columns, its segment
+    empty in every example. For one example the batch axis is squeezed away."""
     alpha_l: Optional[np.ndarray]
     alpha_r: Optional[np.ndarray]
     alpha_tl: Optional[np.ndarray]
@@ -262,7 +260,6 @@ class AttentionRecord:
     r_r: np.ndarray
     r_tl: Optional[np.ndarray]
     r_tr: Optional[np.ndarray]
-    r_t: Optional[np.ndarray]
 
 
 @dataclass
@@ -283,9 +280,7 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     before the classifier (rng required when dropout_rate > 0).
     """
     batch = [ex] if isinstance(ex, Example) else ex
-    if params.variant is not cfg.variant:
-        raise ConfigError(
-            f"params built for {params.variant.value}, config asks {cfg.variant.value}")
+    check_variant(params, cfg)
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not batch:
@@ -334,7 +329,7 @@ def forward(ex: Example | list[Example], table: EmbeddingTable,
     record = AttentionRecord(
         alpha_l=rows(alpha_l), alpha_r=rows(alpha_r),
         alpha_tl=rows(alpha_tl), alpha_tr=rows(alpha_tr),
-        r_l=rows(r_l), r_r=rows(r_r), r_tl=rows(r_tl), r_tr=rows(r_tr), r_t=rows(r_t),
+        r_l=rows(r_l), r_r=rows(r_r), r_tl=rows(r_tl), r_tr=rows(r_tr),
     )
     if batch is ex:  # a list runs as given
         return ForwardResult(probs=probs, sentence_vec=v, record=record)

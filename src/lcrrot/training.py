@@ -38,8 +38,8 @@ from .corpus import Example
 from .embeddings import EmbeddingTable
 from .errors import CheckpointError, ConfigError, DomainError, ShapeError
 from .evalreport import predict_all
-from .model import (Dimensions, ModelParams, Variant, VariantConfig, forward,
-                    init_params, param_shapes)
+from .model import (Dimensions, ModelParams, Variant, VariantConfig, check_variant,
+                    forward, init_params, param_shapes)
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 4
@@ -208,9 +208,10 @@ def npy_header(shape: tuple) -> bytes:
 
 def save_checkpoint(params: ModelParams, cfg: VariantConfig, hp: Hyperparams,
                     path):
+    check_variant(params, cfg)
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "variant": cfg.variant.value,
+        "variant": params.variant.value,
         "hyperparams": asdict(hp),
         "dims": asdict(params.dims),
         "params": [name for name, _ in params.named()],

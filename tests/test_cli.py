@@ -10,10 +10,10 @@ import pytest
 from lcrrot import cli, evalreport, gradcheck, training
 from lcrrot import tensor as T
 from lcrrot.cli import run
-from lcrrot.corpus import load_examples
+from lcrrot.corpus import LABELS, load_examples
 from lcrrot.embeddings import COPY_SUFFIX, EmbeddingTable
 from lcrrot.errors import CheckpointError
-from lcrrot.model import Variant, is_bias
+from lcrrot.model import STAGES, Variant, is_bias
 
 CORPUS = """the $T$ was good today
 battery
@@ -80,6 +80,42 @@ def test_viz_json_and_html(corpus_file, tmp_path, capsys):
         assert (tmp_path / "viz" / name).exists()
     doc = json.loads((tmp_path / "viz" / "attention_0.json").read_text())
     assert set(doc["weights"]) == {"alpha_l", "alpha_r", "alpha_tl", "alpha_tr"}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_viz_json_layout(tmp_path, capsys, variant):
+    """Key order, ``[]`` exactly for a stage the variant skips or an empty segment,
+    and the HTML's JSON block is the JSON file; no weight's value is pinned."""
+    corpus_file = tmp_path / "corpus.txt"
+    corpus_file.write_text(CORPUS + "$T$ was great\nfood\n1\ni hated the $T$\nwaiter\n-1\n",
+                           encoding="utf-8")
+    with open(corpus_file, encoding="utf-8") as fh:
+        examples = load_examples(fh)
+    assert any(not ex.left for ex in examples) and any(not ex.right for ex in examples)
+    assert run(base_train_args(corpus_file, tmp_path, ("--variant", variant.value))) == 0
+    for fmt in ("json", "html"):
+        assert run(["viz", "--checkpoint", str(tmp_path / "model.ckpt"),
+                    "--corpus", str(corpus_file), "--indices",
+                    ",".join(map(str, range(len(examples)))),
+                    "--format", fmt, "--out-dir", str(tmp_path / "viz")]) == 0
+    for i, ex in enumerate(examples):
+        text = (tmp_path / "viz" / f"attention_{i}.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert list(doc) == ["tokens", "weights", "predicted", "gold"]
+        assert doc["tokens"] == {"left": list(ex.left), "target": list(ex.target),
+                                 "right": list(ex.right)}
+        assert list(doc["tokens"]) == ["left", "target", "right"]
+        assert list(doc["weights"]) == ["alpha_l", "alpha_r", "alpha_tl", "alpha_tr"]
+        for name, stage, segment in (("alpha_l", "t2c", ex.left), ("alpha_r", "t2c", ex.right),
+                                     ("alpha_tl", "c2t", ex.target),
+                                     ("alpha_tr", "c2t", ex.target)):
+            weights = doc["weights"][name]
+            assert isinstance(weights, list) and all(isinstance(w, float) for w in weights)
+            assert len(weights) == (len(segment) if stage in STAGES[variant] else 0), name
+        assert doc["predicted"] in LABELS and doc["gold"] == ex.label
+        page = (tmp_path / "viz" / f"attention_{i}.html").read_text(encoding="utf-8")
+        block = page.split('<script type="application/json" id="attention-data">\n', 1)[1]
+        assert block.split("\n</script>", 1)[0] == text
 
 
 def test_viz_checks_every_index_before_writing(corpus_file, tmp_path, capsys):
@@ -404,6 +440,16 @@ def test_ttest_non_utf8_file_is_data_error(tmp_path, capsys):
     assert run(["ttest", str(good), str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ttest_non_finite_number_is_data_error(tmp_path, capsys, value):
+    good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+    good.write_text("0.7 0.8 0.75\n", encoding="utf-8")
+    bad.write_text(f"0.7 {value} 0.75\n", encoding="utf-8")
+    assert run(["ttest", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: {value} is not a finite number"]
 
 
 def test_negative_seed_is_data_error(corpus_file, tmp_path, capsys):

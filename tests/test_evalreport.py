@@ -201,26 +201,26 @@ class TestAttentionExport:
         table, params, cfg = make_setup(seed=3)
         export = attention_export(make_example(seed=1), table, params, cfg)
         parsed = json.loads(export_json(export))
-        assert parsed["weights"]["alpha_l"] == export.alpha_l
-        assert parsed["weights"]["alpha_tr"] == export.alpha_tr
-        assert parsed["tokens"]["target"] == export.target_tokens
+        assert parsed["weights"]["alpha_l"] == export["weights"]["alpha_l"]
+        assert parsed["weights"]["alpha_tr"] == export["weights"]["alpha_tr"]
+        assert parsed["tokens"]["target"] == export["tokens"]["target"]
 
     def test_alphas_equal_forward_record_bit_exactly(self):
         table, params, cfg = make_setup(seed=4)
         ex = make_example(seed=2)
         export = attention_export(ex, table, params, cfg)
         rec = forward(ex, table, params, cfg).record
-        assert export.alpha_l == rec.alpha_l.tolist()
-        assert export.alpha_r == rec.alpha_r.tolist()
-        assert export.alpha_tl == rec.alpha_tl.tolist()
-        assert export.alpha_tr == rec.alpha_tr.tolist()
+        assert export["weights"]["alpha_l"] == rec.alpha_l.tolist()
+        assert export["weights"]["alpha_r"] == rec.alpha_r.tolist()
+        assert export["weights"]["alpha_tl"] == rec.alpha_tl.tolist()
+        assert export["weights"]["alpha_tr"] == rec.alpha_tr.tolist()
 
     def test_lengths_match_tokens(self):
         table, params, cfg = make_setup(seed=5)
         ex = make_example(seed=3)
         export = attention_export(ex, table, params, cfg)
-        assert len(export.alpha_l) == len(export.left_tokens)
-        assert len(export.alpha_tl) == len(export.target_tokens)
+        assert len(export["weights"]["alpha_l"]) == len(export["tokens"]["left"])
+        assert len(export["weights"]["alpha_tl"]) == len(export["tokens"]["target"])
 
     def test_html_embeds_same_numbers_as_json(self):
         table, params, cfg = make_setup(seed=6)

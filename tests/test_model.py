@@ -10,7 +10,7 @@ from lcrrot.embeddings import EmbeddingTable
 from lcrrot.errors import ConfigError, DomainError
 from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig,
                           attend, encode_bilstm, forward, init_params,
-                          pool_target, sentence_vector_dim)
+                          pool_target)
 from lcrrot.tensor import Tensor
 from lcrrot.training import batch_loss, cross_entropy, l2_penalty, loss
 from lstm_oracle import stack, two_node_bilstm
@@ -304,8 +304,7 @@ class TestForward:
     def test_sentence_vector_dimension(self, variant):
         table, params, cfg = make_setup(variant)
         res = forward(make_example(), table, params, cfg)
-        assert res.sentence_vec.data.shape == (
-            sentence_vector_dim(variant, params.dims),)
+        assert res.sentence_vec.data.shape == (params.clf_w.data.shape[1],)
 
     def test_single_word_target_bit_exact(self):
         table, params, cfg = make_setup(Variant.LCR_ROT, seed=3)

@@ -603,6 +603,13 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
+    def test_save_refuses_a_config_of_another_variant(self, tmp_path):
+        params, _ = tiny_params(seed=9)
+        with pytest.raises(ConfigError, match="params built for lcr_rot"):
+            save_checkpoint(params, VariantConfig(variant=Variant.NO_ATTENTION), HP,
+                            tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its .tmp
+
     def test_forward_identical_after_reload(self, tmp_path):
         params, cfg = tiny_params(seed=10)
         table = EmbeddingTable(dim=4, seed=2)
