@@ -146,8 +146,8 @@ class TTestResult:
 def paired_t_test(a, b) -> TTestResult:
     """Paired two-sided t-test on index-matched samples.
 
-    Degenerate case: zero-variance differences give t=0, p=1 when the mean
-    difference is also zero, and raise otherwise (t would be infinite).
+    Degenerate case: differences equal up to the rounding of a - b have zero
+    variance; t=0, p=1 if their mean is 0 up to it, else raise (t is infinite).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -157,14 +157,14 @@ def paired_t_test(a, b) -> TTestResult:
     if n < 2:
         raise DomainError("paired t-test needs at least 2 pairs")
     d = a - b
-    mean = d.mean()
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        if mean == 0.0:
+    # rounding a, b and a - b moves each difference up to eps * (|a| + |b|), two by twice that
+    rounding = 2.0 * np.finfo(np.float64).eps * np.max(np.abs(a) + np.abs(b))
+    if np.ptp(d) <= rounding:
+        if abs(d.mean()) <= rounding:
             return TTestResult(t=0.0, df=n - 1, p=1.0)
         raise DomainError("all pairs differ by the same nonzero amount "
                           "(zero variance, t undefined)")
-    t = mean / (sd / math.sqrt(n))
+    t = d.mean() / (d.std(ddof=1) / math.sqrt(n))
     return TTestResult(t=t, df=n - 1, p=t_two_sided_p(t, n - 1))
 
 

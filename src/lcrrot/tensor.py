@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -348,6 +350,25 @@ def mean_rows(a, lengths) -> Tensor:
     return _make((a.data * keep).sum(axis=1, keepdims=True) / n, (a,), backward)
 
 
+SPLIT_D_H = 160  # from this hidden size up, on two or more cores, the directions split
+_worker = ThreadPoolExecutor(max_workers=1)  # its thread starts on first use
+if hasattr(os, "register_at_fork"):  # a forked child has no thread behind the pool
+    os.register_at_fork(after_in_child=lambda: globals().update(_worker=ThreadPoolExecutor(1)))
+
+
+def _by_direction(run, d_h: int, rows: int) -> None:
+    """``run(s)`` over both directions (s = 0:2), or 1:2 on the worker and 0:1 here
+    at once, each writing only its slices: numpy releases the GIL in BLAS calls."""
+    if d_h < SPLIT_D_H or not rows \
+            or len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)) < 2:
+        return run(slice(0, 2))
+    half = _worker.submit(run, slice(1, 2))
+    try:
+        run(slice(0, 1))
+    finally:
+        half.result()
+
+
 @functools.lru_cache(maxsize=128)
 def _packing(key: bytes):
     """Packed order of a batch of sequences with lengths ``key`` (intp
@@ -385,7 +406,8 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     step t are a prefix of the packed rows of step t - 1, in both
     directions. So a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h],
     the input projection and each weight gradient are one stacked product
-    over every real row, and padding is never computed or stored.
+    over every real row, and padding is never computed or stored. From
+    SPLIT_D_H up the directions run on two threads (``_by_direction``).
     """
     x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
     lengths = _batch_lengths(x, lengths, "bilstm_sequence")
@@ -396,66 +418,74 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     starts, seq, pos, rank = _packing(lengths.tobytes())
     batch, side = x.data.shape[:2], np.arange(2)[:, None]  # side: each packed row's direction
 
-    def pack(a):  # [B, n, 2d_h] -> [2, rows, d_h], each direction in packed order
-        return a.reshape(*batch, 2, d_h)[seq, pos, side]
+    def pack(a, s):  # [B, n, 2d_h] -> [2, rows, d_h] at the directions s, in packed order
+        return a.reshape(*batch, 2, d_h)[seq, pos[s], side[s]]
 
     # The input projection of every row in one stacked GEMM. Each step adds
     # u·h and turns its rows into the gate values in place with one tanh:
     # sigmoid(z) = (1 + tanh(z / 2)) / 2 for i, f, o (halving is exact).
-    gates = x.data[seq, pos] @ w.data.swapaxes(1, 2)
-    gates += b.data[:, None]
+    gates = np.empty((2, len(seq), 4 * d_h))
     cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
-    u_t, prev = u.data.swapaxes(1, 2), None
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        z = gates[:, lo:hi]
-        if prev is not None:
-            z += hs[:, prev:prev + hi - lo] @ u_t
-        z[..., :3 * d_h] *= 0.5
-        np.tanh(z, out=z)
-        z[..., :3 * d_h] *= 0.5
-        z[..., :3 * d_h] += 0.5
-        i, f, o, g = z.reshape(2, hi - lo, 4, d_h).transpose(2, 0, 1, 3)
-        c = cells[:, lo:hi]
-        np.multiply(i, g, out=c)
-        if prev is not None:
-            c += f * cells[:, prev:prev + hi - lo]
-        np.multiply(o, np.tanh(c), out=hs[:, lo:hi])
-        prev = lo
+
+    def steps(s):
+        np.add(x.data[seq, pos[s]] @ w.data[s].swapaxes(1, 2), b.data[s, None], out=gates[s])
+        u_t, prev = u.data[s].swapaxes(1, 2), None
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            z = gates[s, lo:hi]
+            if prev is not None:
+                z += hs[s, prev:prev + hi - lo] @ u_t
+            ifo = z[..., :3 * d_h]
+            ifo *= 0.5
+            np.tanh(z, out=z)
+            ifo *= 0.5
+            ifo += 0.5
+            i, f, o, g = z.reshape(-1, hi - lo, 4, d_h).transpose(2, 0, 1, 3)
+            c = cells[s, lo:hi]
+            np.multiply(i, g, out=c)
+            if prev is not None:
+                c += f * cells[s, prev:prev + hi - lo]
+            np.multiply(o, np.tanh(c), out=hs[s, lo:hi])
+            prev = lo
+    _by_direction(steps, d_h, len(seq))
     out = np.zeros((*batch, 2 * d_h))
     out.reshape(*batch, 2, d_h)[seq, pos, side] = hs
     del hs  # backward packs it again from out: less to keep until then
 
     def backward(grad):
         # backpropagation through time, then the weight gradients as GEMMs
-        dh_out, tanh_c = pack(grad), np.tanh(cells)
-        dz = 1.0 - gates  # the gates' derivatives; row by row, they become dz
-        dz *= gates
-        dz[..., 3 * d_h:] = 1.0 - gates[..., 3 * d_h:] ** 2
-        dh_next = dc_next = None  # carried to the k_t running sequences of step t - 1
-        for t in range(len(starts) - 2, -1, -1):
-            lo, hi = starts[t], starts[t + 1]
-            k = hi - lo
-            i, f, o, g = gates[:, lo:hi].reshape(2, k, 4, d_h).transpose(2, 0, 1, 3)
-            dh = dh_out[:, lo:hi]  # each step reads its rows once, so they can be added to
-            if dh_next is not None:
-                dh[:, :dh_next.shape[1]] += dh_next
-            dc = dh * o * (1.0 - tanh_c[:, lo:hi] ** 2)
-            if dc_next is not None:
-                dc[:, :dc_next.shape[1]] += dc_next
-            c_prev = cells[:, starts[t - 1]:starts[t - 1] + k] if t else 0.0
-            dz[:, lo:hi] *= np.concatenate([dc * g, dc * c_prev, dh * tanh_c[:, lo:hi], dc * i],
-                                           axis=-1)
-            if t:
-                dc_next, dh_next = dc * f, dz[:, lo:hi] @ u.data
-        if w.requires_grad:
-            w._accumulate(dz.swapaxes(1, 2) @ x.data[seq, pos])
-        if u.requires_grad:
-            # the state each row after step 0 read: its sequence's row of the step before
-            first = starts[1] if len(starts) > 1 else 0
-            prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
-            u._accumulate(dz[:, first:].swapaxes(1, 2) @ pack(out)[:, prev])
-        if b.requires_grad:
-            b._accumulate(dz.sum(axis=1))
+        dz, dw, du = np.empty_like(gates), np.empty(w.data.shape), np.empty(u.data.shape)
+        # the state each row after step 0 read: its sequence's row of the step before
+        first = starts[1] if len(starts) > 1 else 0
+        prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
+
+        def bptt(s):
+            dh_out, tanh_c, gs, ds = pack(grad, s), np.tanh(cells[s]), gates[s], dz[s]
+            np.multiply(1.0 - gs, gs, out=ds)  # the gates' derivatives; row by row, they become dz
+            ds[..., 3 * d_h:] = 1.0 - gs[..., 3 * d_h:] ** 2
+            dh_next = dc_next = None  # carried to the k_t running sequences of step t - 1
+            for t in range(len(starts) - 2, -1, -1):
+                lo, hi = starts[t], starts[t + 1]
+                k = hi - lo
+                i, f, o, g = gs[:, lo:hi].reshape(-1, k, 4, d_h).transpose(2, 0, 1, 3)
+                dh = dh_out[:, lo:hi]  # each step reads its rows once, so they can be added to
+                if dh_next is not None:
+                    dh[:, :dh_next.shape[1]] += dh_next
+                dc = dh * o * (1.0 - tanh_c[:, lo:hi] ** 2)
+                if dc_next is not None:
+                    dc[:, :dc_next.shape[1]] += dc_next
+                c_prev = cells[s, starts[t - 1]:starts[t - 1] + k] if t else 0.0
+                ds[:, lo:hi] *= np.concatenate([dc * g, dc * c_prev, dh * tanh_c[:, lo:hi],
+                                                dc * i], axis=-1)
+                if t:
+                    dc_next, dh_next = dc * f, ds[:, lo:hi] @ u.data[s]
+            if w.requires_grad:
+                np.matmul(ds.swapaxes(1, 2), x.data[seq, pos[s]], out=dw[s])
+            if u.requires_grad:
+                np.matmul(ds[:, first:].swapaxes(1, 2), pack(out, s)[:, prev], out=du[s])
+        _by_direction(bptt, d_h, len(seq))
+        for t, g in ((w, dw), (u, du), (b, dz.sum(axis=1))):
+            if t.requires_grad:
+                t._accumulate(g)
         if x.requires_grad:
             dx = np.zeros(x.data.shape)
             np.add.at(dx, (seq, pos), dz @ w.data)  # the directions read each row once each

@@ -157,6 +157,18 @@ def test_ttest_command(tmp_path, capsys):
     assert "t=4.2426" in out and "df=4" in out and "p=0.013" in out
 
 
+@pytest.mark.parametrize("a, b", [("0.3 0.6 0.9", "0.2 0.5 0.8"),
+                                  ("0.75 0.80 0.85", "0.70 0.75 0.80")])
+def test_ttest_constant_difference_is_data_error(tmp_path, capsys, a, b):
+    """0.1 and 0.05 in every pair: zero variance whether or not the binary
+    differences come out bit-equal."""
+    (tmp_path / "a.txt").write_text(a)
+    (tmp_path / "b.txt").write_text(b)
+    assert run(["ttest", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "all pairs differ by the same nonzero amount" in err
+
+
 def test_gradcheck_single_variant(capsys):
     assert run(["gradcheck", "--variant", "no_attention"]) == 0
     out = capsys.readouterr().out

@@ -161,6 +161,9 @@ class TestPairedTTest:
     def test_constant_nonzero_difference_rejected(self):
         with pytest.raises(DomainError):
             paired_t_test([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+        # 0.05 each in decimal; in binary the differences part in their last bits
+        with pytest.raises(DomainError):
+            paired_t_test([0.75, 0.80, 0.85], [0.70, 0.75, 0.80])
 
     def test_too_few_pairs(self):
         with pytest.raises(DomainError):

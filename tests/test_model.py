@@ -587,3 +587,32 @@ def test_fused_encoder_matches_two_node_path(variant, batch, monkeypatch):
                 leaf = leaves[id(p)][k]["wub".index(field)]
                 np.testing.assert_allclose(grads[name][k], leaf.grad, rtol=0, atol=1e-10,
                                            err_msg=f"{enc}.{d_name}.{field}")
+
+
+@pytest.mark.parametrize("batch", ["ragged", "single", "all_left_empty"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_two_thread_directions_match_stacked_bytes(variant, mode, batch, monkeypatch,
+                                                   worker_halves):
+    """The Bi-LSTM directions on two threads (the cut lowered to every size)
+    and stacked on one: the probabilities, the attention record and every
+    gradient, byte for byte, with dropout 0.5 in train mode."""
+    examples = batch_examples(BATCHES[batch])
+
+    def run(cut):
+        monkeypatch.setattr(T, "SPLIT_D_H", cut)
+        table, params, cfg = make_setup(variant, seed=15)
+        res = forward(examples, table, params, cfg, mode=mode, rng=rng(4), dropout_rate=0.5)
+        params.zero_grad()
+        batch_loss(res.probs, [ex.label_index for ex in examples], params, 1e-3).backward()
+        return ([res.probs.data.tobytes()]
+                + [None if a is None else a.tobytes() for a in vars(res.record).values()]
+                + [(name, t.grad.tobytes()) for name, t in params.named()])
+
+    stacked = run(10 ** 9)
+    assert not worker_halves
+    assert run(1) == stacked
+    # one half forward and one backward per encoder with a token to read
+    encoders = ("left", "right") + (("target",) if make_setup(variant)[1].center else ())
+    ran = [enc for enc in encoders if any(getattr(ex, enc) for ex in examples)]
+    assert worker_halves == [slice(1, 2)] * 2 * len(ran)

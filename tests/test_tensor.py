@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -571,3 +576,96 @@ def test_bilstm_matches_two_node_path(batch):
     for k, leaves in enumerate((fwd, bwd)):
         for stacked, leaf in zip((w, u, b), leaves):
             np.testing.assert_allclose(stacked.grad[k], leaf.grad, rtol=0, atol=1e-10)
+
+
+def ragged_bilstm_case(seed=27):
+    """Leaves of a Bi-LSTM over a ragged batch with an empty sequence; x requires grad."""
+    g = rng(seed)
+    lengths, d, d_h = [4, 0, 7, 1, 7, 3], 5, 3
+    leaves = [Tensor(g.uniform(-0.5, 0.5, shape), requires_grad=True)
+              for shape in ((len(lengths), 8, d), (2, 4 * d_h, d), (2, 4 * d_h, d_h),
+                            (2, 4 * d_h))]
+    return leaves, lengths, Tensor(g.uniform(-1, 1, (len(lengths), 8, 2 * d_h)))
+
+
+def run_bilstm(leaves, lengths, weights):
+    """The output and every leaf's gradient of a weighted Bi-LSTM loss, as bytes."""
+    for t in leaves:
+        t.zero_grad()
+    out = T.bilstm_sequence(*leaves, lengths)
+    T.tmean(T.mul(T.tanh(out), weights)).backward()
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+class TestTwoThreadDirections:
+    """``bilstm_sequence`` with its directions on two threads: the cut is
+    lowered so that tiny dims take that path."""
+
+    def test_matches_stacked_bytes(self, monkeypatch, worker_halves):
+        case = ragged_bilstm_case()
+        monkeypatch.setattr(T, "SPLIT_D_H", 10 ** 9)
+        stacked = run_bilstm(*case)
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        assert run_bilstm(*case) == stacked  # x's gradient through np.add.at too
+        assert worker_halves == [slice(1, 2)] * 2
+
+    def test_no_rows_run_inline(self, monkeypatch, worker_halves):
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        (x, *weights), _, _ = ragged_bilstm_case()
+        T.sumsq(T.bilstm_sequence(Tensor(x.data[:2, :0]), *weights, [0, 0]), weights[0]).backward()
+        assert not worker_halves
+
+    @pytest.mark.parametrize("in_backward", [False, True])
+    def test_worker_exception_reaches_caller(self, in_backward, monkeypatch, worker_halves):
+        """An exception raised in the worker's half, forward or backward,
+        reaches the caller as itself, and the next call still works."""
+        class WorkerFault(Exception):
+            pass
+
+        def failing(run, s):
+            run(s)
+            raise WorkerFault
+
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        leaves, lengths, _ = case = ragged_bilstm_case()
+        expected = run_bilstm(*case)
+        out = T.bilstm_sequence(*leaves, lengths) if in_backward else None
+        with monkeypatch.context() as m:
+            m.setattr(T._worker, "submit",
+                      lambda run, s: ThreadPoolExecutor.submit(T._worker, failing, run, s))
+            with pytest.raises(WorkerFault):
+                if in_backward:
+                    T.tmean(out).backward()
+                else:
+                    T.bilstm_sequence(*leaves, lengths)
+        assert run_bilstm(*case) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    def test_forked_child_splits_on_a_worker_of_its_own(self, monkeypatch, worker_halves):
+        """A child forked after the worker thread ran has no thread behind the
+        parent's pool: it must not wait on it forever."""
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        case = ragged_bilstm_case()
+        expected = run_bilstm(*case)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: os._exit(0 if run_bilstm(*case) == expected else 1))
+        with warnings.catch_warnings():  # Python 3.12+ warns on forking a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        child.join(60)
+        if child.exitcode is None:
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_core_takes_stacked_path(self, affinity, monkeypatch, worker_halves):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:  # where the platform has no affinity, the core count decides
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        threads = threading.active_count()
+        run_bilstm(*ragged_bilstm_case())
+        assert not worker_halves and threading.active_count() == threads
