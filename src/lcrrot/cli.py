@@ -201,20 +201,30 @@ def _load_test_corpus(path):
     return examples
 
 
-def _check_output_path(path: Path) -> None:
-    """Reject a file that could not be written, before any work is done."""
-    if path.is_dir():
-        raise ConfigError(f"{path}: is a directory")
-    if not path.parent.is_dir():
-        raise ConfigError(f"{path}: directory {path.parent} does not exist")
-    if not os.access(path.parent, os.W_OK):
-        raise ConfigError(f"{path}: directory {path.parent} is not writable")
+def _check_outputs(args, outputs, inputs) -> None:
+    """Reject an output file that could not be written, or whose path resolves
+    to another output's or an input's, before any work is done."""
+    flags = {}  # resolved path -> the flag that named it
+    for key in (*inputs, *outputs):
+        if (path := getattr(args, key)) is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key in outputs:
+            if path.is_dir():
+                raise ConfigError(f"{path}: is a directory")
+            if not path.parent.is_dir():
+                raise ConfigError(f"{path}: directory {path.parent} does not exist")
+            if not os.access(path.parent, os.W_OK):
+                raise ConfigError(f"{path}: directory {path.parent} is not writable")
+            if (other := flags.get(path.resolve())) is not None:
+                raise ConfigError(f"{path}: {flag} names the same file as {other}")
+        flags[path.resolve()] = flag
 
 
 def _cmd_train(args) -> int:
     hp, dims, vcfg, _ = _effective_config(args)
-    for path in filter(None, (args.checkpoint, args.metrics)):
-        _check_output_path(path)
+    _check_outputs(args, ("checkpoint", "metrics"),
+                   ("train_corpus", "dev_corpus", "embeddings", "config"))
     examples = _load_examples(args.train_corpus)
     dev = _load_examples(args.dev_corpus) if args.dev_corpus else None
     table = _load_table(args.embeddings, dims.d, hp.seed)

@@ -207,15 +207,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        a._accumulate(g * c)
-
-    return _make(a.data * c, (a,), backward)
-
-
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
@@ -224,26 +215,6 @@ def tanh(a) -> Tensor:
         a._accumulate(g * (1.0 - y * y))
 
     return _make(y, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """max(a, floor) elementwise; subgradient 0 where clipped."""
-    a = _as_tensor(a)
-    mask = a.data > floor
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return _make(np.maximum(a.data, floor), (a,), backward)
 
 
 def softmax(a, mask=None) -> Tensor:
@@ -304,6 +275,21 @@ def index(a, key) -> Tensor:
         a._accumulate(grad)
 
     return _make(a.data[key], (a,), backward)
+
+
+def nll(a, key, floor: float) -> Tensor:
+    """-log max(a[key], floor), the entries picked as ``index`` picks them;
+    subgradient 0 where an entry is floored."""
+    a = _as_tensor(a)
+    picked = a.data[key]
+    clipped, keep = np.maximum(picked, floor), picked > floor
+
+    def backward(g):
+        grad = np.zeros(a.data.shape)
+        np.add.at(grad, key, (g * -1.0) / clipped * keep)
+        a._accumulate(grad)
+
+    return _make(np.log(clipped) * -1.0, (a,), backward)
 
 
 def concat(parts) -> Tensor:

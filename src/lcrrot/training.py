@@ -43,7 +43,7 @@ from .model import (Dimensions, ModelParams, Variant, VariantConfig, check_varia
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 4
-LOG_EPS = 1e-12  # floor inside log() so a saturated softmax cannot yield -inf
+LOG_EPS = 1e-12  # floor inside the log so a saturated softmax cannot yield -inf
 
 
 @dataclass(frozen=True)
@@ -74,23 +74,16 @@ class Hyperparams:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-class OptimizerState:
-    """Per-parameter velocity tensors for classical (heavy-ball) momentum."""
-
-    def __init__(self, params: ModelParams):
-        self.velocity = {name: np.zeros(t.data.shape) for name, t in params.named()}
-
-
 def cross_entropy(probs: Tensor, labels) -> Tensor:
     """-log p_true with the probability floored at LOG_EPS: a scalar for one
     probability vector, one value per row for a batch [B, len(LABELS)]."""
     key = labels if probs.data.ndim == 1 else (np.arange(len(labels)), np.asarray(labels))
-    return T.scale(T.log(T.clip_min(T.index(probs, key), LOG_EPS)), -1.0)
+    return T.nll(probs, key, LOG_EPS)
 
 
 def l2_penalty(params: ModelParams, lam: float) -> Tensor:
     """lam * ||Theta||^2 over every parameter, biases included."""
-    return T.scale(T.sumsq(*(t for _, t in params.named())), lam)
+    return T.mul(T.sumsq(*(t for _, t in params.named())), lam)
 
 
 def loss(probs: Tensor, label_index: int, params: ModelParams, lam: float) -> Tensor:
@@ -103,15 +96,16 @@ def batch_loss(probs: Tensor, label_indices, params: ModelParams, lam: float) ->
     return T.add(T.tmean(cross_entropy(probs, label_indices)), l2_penalty(params, lam))
 
 
-def sgd_momentum_step(params: ModelParams, state: OptimizerState,
+def sgd_momentum_step(params: ModelParams, velocity: dict[str, np.ndarray],
                       lr: float, momentum: float):
-    """vel <- mu*vel - lr*grad; theta <- theta + vel, in place. Missing grads count as zero."""
+    """vel <- mu*vel - lr*grad; theta <- theta + vel, in place, with ``velocity``
+    holding each parameter's vel by name. Missing grads count as zero."""
     for name, t in params.named():
         grad = t.grad if t.grad is not None else np.zeros(t.data.shape)
         if grad.shape != t.data.shape:
             raise ShapeError(
                 f"{name}: gradient shape {grad.shape} != parameter shape {t.data.shape}")
-        vel = state.velocity[name]
+        vel = velocity[name]
         vel *= momentum
         vel -= lr * grad
         t.data += vel
@@ -154,7 +148,7 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
         raise DomainError("the dev corpus is empty")
     rng = np.random.Generator(np.random.PCG64(hp.seed))
     params = init_params(dims, cfg, rng)
-    state = OptimizerState(params)
+    velocity = {name: np.zeros(t.data.shape) for name, t in params.named()}
 
     metrics: list[EpochMetrics] = []
     best_dev = -1.0
@@ -170,7 +164,7 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
                           dropout_rate=hp.dropout_rate)
             bl = batch_loss(res.probs, [ex.label_index for ex in batch], params, hp.l2_weight)
             bl.backward()
-            sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
+            sgd_momentum_step(params, velocity, hp.learning_rate, hp.momentum)
             params.zero_grad()  # free the gradients before the next batch allocates its own
             total_ce += float(bl.data) * len(batch)
 

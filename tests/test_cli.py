@@ -233,7 +233,7 @@ def test_gradcheck_echo_names_the_variants_it_checks(how, shown, tmp_path, monke
 def nan_loss(monkeypatch):
     """Scale the gradient check's loss by NaN, so the loss and every gradient are NaN."""
     real_loss = gradcheck.loss
-    monkeypatch.setattr(gradcheck, "loss", lambda *args: T.scale(real_loss(*args), math.nan))
+    monkeypatch.setattr(gradcheck, "loss", lambda *args: T.mul(real_loss(*args), math.nan))
 
 
 def test_nan_gradient_error_fails_the_check(nan_loss):
@@ -345,11 +345,13 @@ def test_outputs_are_the_same_with_and_without_the_vector_files_copy(
     assert len(without_copy) == 2 * len(commands) + 6
 
 
-@pytest.mark.parametrize("damage", ["missing_dir", "directory", "read_only_dir"])
+@pytest.mark.parametrize("damage", ["missing_dir", "directory", "read_only_dir", "other_output",
+                                    "--train-corpus", "--dev-corpus", "--embeddings", "--config"])
 @pytest.mark.parametrize("flag", ["--checkpoint", "--metrics"])
 def test_unwritable_output_path_is_rejected_before_training(
         corpus_file, tmp_path, capsys, monkeypatch, flag, damage):
     bad = tmp_path / "out" / "file"
+    args = base_train_args(corpus_file, tmp_path)
     if damage == "directory":
         bad.mkdir(parents=True)
     elif damage == "read_only_dir":
@@ -357,7 +359,18 @@ def test_unwritable_output_path_is_rejected_before_training(
         real_access = os.access  # a root user may write anywhere, so fake the refusal
         monkeypatch.setattr(os, "access", lambda path, mode: (
             path != bad.parent and real_access(path, mode)))
-    args = base_train_args(corpus_file, tmp_path)
+    elif damage == "other_output":
+        bad.parent.mkdir()
+        args += ["--metrics" if flag == "--checkpoint" else "--checkpoint", str(bad)]
+    elif damage != "missing_dir":  # an input, named through another spelling of its path
+        bad.parent.mkdir()
+        inputs = {"--train-corpus": (corpus_file.name, CORPUS), "--dev-corpus": ("dev.txt", CORPUS),
+                  "--embeddings": ("vectors.txt", "good " + " ".join(["0.1"] * 6) + "\n"),
+                  "--config": ("train.cfg", "seed = 3\n")}
+        name, text = inputs[damage]
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        args += [damage, str(tmp_path / name)]
+        bad = tmp_path / "out" / ".." / name
     if flag == "--checkpoint":
         args[args.index(flag) + 1] = str(bad)
     else:
@@ -369,7 +382,11 @@ def test_unwritable_output_path_is_rejected_before_training(
     assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
     assert captured.out.splitlines()[0].startswith("effective config:")
     assert len(captured.out.splitlines()) == 1  # no epoch line
-    assert not (tmp_path / "model.ckpt").exists() and not bad.is_file()
+    assert not (tmp_path / "model.ckpt").exists()
+    if damage.startswith("--"):
+        assert bad.read_text(encoding="utf-8") == inputs[damage][1]
+    else:
+        assert not bad.is_file()
 
 
 @pytest.mark.parametrize("command", ["eval", "eval_train_corpus", "viz"])

@@ -211,7 +211,7 @@ class TestReduce:
         for p in parts:
             total = total + (p.data * p.data).sum()
         assert float(T.sumsq(*parts).data) == total
-        _fd_check(lambda: T.scale(T.sumsq(*parts), 0.5), parts)
+        _fd_check(lambda: T.mul(T.sumsq(*parts), 0.5), parts)
 
     def test_no_operands(self):
         with pytest.raises(DomainError):
@@ -255,7 +255,24 @@ class TestBatchOps:
         p = Tensor(rng(9).uniform(0.1, 1, (4, 3)), requires_grad=True)
         key = (np.arange(4), np.array([2, 0, 2, 1]))
         np.testing.assert_array_equal(T.index(p, key).data, p.data[key])
-        _fd_check(lambda: T.tmean(T.log(T.index(p, key))), [p])
+        _fd_check(lambda: T.tmean(T.mul(T.index(p, key), T.index(p, key))), [p])
+
+    def test_nll_matches_finite_differences(self):
+        v = Tensor(rng(12).uniform(0.1, 1, 3), requires_grad=True)
+        assert float(T.nll(v, 2, 1e-12).data) == pytest.approx(-math.log(v.data[2]), rel=1e-15)
+        _fd_check(lambda: T.nll(v, 2, 1e-12), [v])
+        p = Tensor(rng(13).uniform(0.1, 1, (4, 3)), requires_grad=True)
+        key = (np.arange(4), np.array([2, 0, 2, 1]))
+        np.testing.assert_allclose(T.nll(p, key, 1e-12).data, -np.log(p.data[key]), rtol=1e-15)
+        _fd_check(lambda: T.tmean(T.nll(p, key, 1e-12)), [p])
+
+    def test_nll_floored_entry_has_zero_gradient(self):
+        p = Tensor([[0.0, 0.6, 0.4], [0.5, 0.25, 0.25]], requires_grad=True)
+        key = (np.arange(2), np.array([0, 1]))
+        out = T.nll(p, key, 1e-12)
+        assert out.data.tolist() == pytest.approx([-math.log(1e-12), -math.log(0.25)], rel=1e-15)
+        T.tmean(out).backward()
+        assert p.grad.tolist() == [[0.0, 0.0, 0.0], [0.0, -0.5 / 0.25, 0.0]]
 
 
 class TestBackward:
@@ -285,7 +302,7 @@ class TestBackward:
     def test_shared_leaf_accumulates_additively(self):
         x = Tensor(3.0, requires_grad=True)
         # y = x*x + 2x  =>  dy/dx = 2x + 2 = 8
-        y = T.add(T.mul(x, x), T.scale(x, 2.0))
+        y = T.add(T.mul(x, x), T.mul(x, 2.0))
         y.backward()
         assert x.grad == pytest.approx(8.0, abs=1e-12)
 
@@ -347,7 +364,7 @@ class TestGradientProperty:
         def build():
             h = T.tanh(T.add(T.matmul(w, x), b))
             p = T.softmax(T.mul(h, sigmoid(h)))
-            return T.add(T.tmean(p), T.scale(T.sumsq(w), 0.1))
+            return T.add(T.tmean(p), T.mul(T.sumsq(w), 0.1))
 
         _fd_check(build, [w, x, b])
 
@@ -355,7 +372,7 @@ class TestGradientProperty:
         x = Tensor([0.2, 0.5, 0.3], requires_grad=True)
 
         def build():
-            return T.scale(T.log(T.clip_min(T.index(T.softmax(x), 1), 1e-12)), -1.0)
+            return T.nll(T.softmax(x), 1, 1e-12)
 
         _fd_check(build, [x])
 
@@ -487,7 +504,7 @@ class TestLstmSequence:
         weights = on_half(g.uniform(-1, 1, (len(lengths), width, d_h)), reverse) + 0.1
 
         def weighted_sum(out, weights):
-            return T.scale(T.tmean(T.mul(out, Tensor(weights))), out.data.size)
+            return T.mul(T.tmean(T.mul(out, Tensor(weights))), out.data.size)
 
         # the batch's loss is the sum of the sequences' losses
         expected_out = np.zeros((len(lengths), width, 2 * d_h))

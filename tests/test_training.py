@@ -14,13 +14,17 @@ from lcrrot.errors import CheckpointError, ConfigError, DomainError
 from lcrrot.model import (Dimensions, Variant, VariantConfig, dropout, forward,
                           init_params)
 from lcrrot.tensor import Tensor
-from lcrrot.training import (Hyperparams, OptimizerState, loss, load_checkpoint,
-                             save_checkpoint, sgd_momentum_step, train)
+from lcrrot.training import (Hyperparams, loss, load_checkpoint, save_checkpoint,
+                             sgd_momentum_step, train)
 from lstm_oracle import stack
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def zero_velocity(params):
+    return {name: np.zeros(t.data.shape) for name, t in params.named()}
 
 
 def tiny_params(seed=0, variant=Variant.LCR_ROT, d=4, d_h=2):
@@ -77,6 +81,20 @@ class TestLoss:
         assert np.isfinite(out.data)
         assert float(out.data) == pytest.approx(-math.log(1e-12))
 
+    def test_floored_probability_has_finite_zero_gradient(self):
+        params, _ = tiny_params()
+        p = Tensor([1.0, 0.0, 0.0], requires_grad=True)
+        loss(p, 1, params, lam=0.0).backward()
+        assert p.grad.tolist() == [0.0, 0.0, 0.0]  # finite, and 0 at the floored entry
+        # in a batch, only the floored row loses its gradient
+        rows = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]])
+        p = Tensor(rows, requires_grad=True)
+        training.batch_loss(p, [1, 1, 2], params, 0.0).backward()
+        expected = np.zeros((3, 3))
+        expected[0, 1], expected[2, 2] = -1 / 3 / 0.5, -1 / 3 / 0.8
+        np.testing.assert_allclose(p.grad, expected, rtol=1e-15, atol=0)
+        assert p.grad[1].tolist() == [0.0, 0.0, 0.0]
+
     def test_regularizer_monotone_in_lambda(self):
         params, _ = tiny_params(seed=3)
         p = Tensor([0.3, 0.4, 0.3])
@@ -109,19 +127,19 @@ class TestLoss:
 class TestSgdMomentum:
     def test_zero_momentum_is_vanilla_sgd(self):
         params, _ = tiny_params(seed=5)
-        state = OptimizerState(params)
+        velocity = zero_velocity(params)
         before = {n: t.data.copy() for n, t in params.named()}
         for _, t in params.named():
             t.grad = np.ones(t.data.shape)
-        sgd_momentum_step(params, state, lr=0.1, momentum=0.0)
+        sgd_momentum_step(params, velocity, lr=0.1, momentum=0.0)
         for name, t in params.named():
             np.testing.assert_allclose(t.data, before[name] - 0.1, atol=1e-15)
 
     def test_zero_gradient_is_fixed_point(self):
         params, _ = tiny_params(seed=6)
-        state = OptimizerState(params)
+        velocity = zero_velocity(params)
         before = {n: t.data.copy() for n, t in params.named()}
-        sgd_momentum_step(params, state, lr=0.1, momentum=0.9)
+        sgd_momentum_step(params, velocity, lr=0.1, momentum=0.9)
         for name, t in params.named():
             np.testing.assert_array_equal(t.data, before[name])
 
@@ -134,7 +152,7 @@ class TestSgdMomentum:
                 yield "x", x
 
         params = P()
-        state = OptimizerState(params)
+        velocity = zero_velocity(params)
         lr, mu = 0.1, 0.9
         # hand-unrolled: v1 = -lr*g0; x1 = x0+v1; v2 = mu*v1 - lr*g1; x2 = x1+v2
         x0 = 2.0
@@ -143,10 +161,10 @@ class TestSgdMomentum:
         v2 = mu * v1 - lr * x1
         x2 = x1 + v2
         x.grad = np.array(float(x.data))
-        sgd_momentum_step(params, state, lr, mu)
+        sgd_momentum_step(params, velocity, lr, mu)
         assert float(x.data) == pytest.approx(x1, abs=1e-15)
         x.grad = np.array(float(x.data))
-        sgd_momentum_step(params, state, lr, mu)
+        sgd_momentum_step(params, velocity, lr, mu)
         assert float(x.data) == pytest.approx(x2, abs=1e-15)
 
 
@@ -306,7 +324,7 @@ def per_example_train(examples, table, hp):
     dropout mask from the shared generator."""
     g = rng(hp.seed)
     params = init_params(DIMS, CFG, g)
-    state = OptimizerState(params)
+    velocity = zero_velocity(params)
     order = np.arange(len(examples))
     for _ in range(hp.max_epochs):
         g.shuffle(order)
@@ -319,7 +337,7 @@ def per_example_train(examples, table, hp):
             total = T.add(T.tmean(stack(ces)), training.l2_penalty(params, hp.l2_weight))
             params.zero_grad()
             total.backward()
-            sgd_momentum_step(params, state, hp.learning_rate, hp.momentum)
+            sgd_momentum_step(params, velocity, hp.learning_rate, hp.momentum)
     return params
 
 
