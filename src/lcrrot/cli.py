@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evalreport, gradcheck, training
-from .embeddings import EmbeddingTable, load_pretrained
+from .embeddings import COPY_SUFFIX, EmbeddingTable, load_pretrained
 from .errors import (CheckpointError, ConfigError, DomainError, FormatError,
                      ShapeError)
 from .model import ALL_VARIANTS, Dimensions, VariantConfig
@@ -201,30 +201,34 @@ def _load_test_corpus(path):
     return examples
 
 
-def _check_outputs(args, outputs, inputs) -> None:
-    """Reject an output file that could not be written, or whose path resolves
-    to another output's or an input's, before any work is done."""
-    flags = {}  # resolved path -> the flag that named it
-    for key in (*inputs, *outputs):
-        if (path := getattr(args, key)) is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key in outputs:
-            if path.is_dir():
-                raise ConfigError(f"{path}: is a directory")
-            if not path.parent.is_dir():
-                raise ConfigError(f"{path}: directory {path.parent} does not exist")
-            if not os.access(path.parent, os.W_OK):
-                raise ConfigError(f"{path}: directory {path.parent} is not writable")
-            if (other := flags.get(path.resolve())) is not None:
-                raise ConfigError(f"{path}: {flag} names the same file as {other}")
+def _check_outputs(outputs, inputs) -> None:
+    """Reject an output (flag, path) pair that could not be written, or whose path
+    resolves to another output's or an input's, before any work is done."""
+    flags = {path.resolve(): flag for flag, path in inputs}
+    for flag, path in outputs:
+        if path.is_dir():
+            raise ConfigError(f"{path}: is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"{path}: directory {path.parent} does not exist")
+        if not os.access(path.parent, os.W_OK):
+            raise ConfigError(f"{path}: directory {path.parent} is not writable")
+        if (other := flags.get(path.resolve())) is not None:
+            raise ConfigError(f"{path}: {flag} names the same file as {other}")
         flags[path.resolve()] = flag
+
+
+def _flags(args, *keys):
+    """(flag, path) of each key's argument that is set, and --embeddings' binary copy."""
+    pairs = [("--" + key.replace("_", "-"), getattr(args, key)) for key in keys
+             if getattr(args, key) is not None]
+    return pairs + [("the copy of --embeddings", Path(f"{path}{COPY_SUFFIX}"))
+                    for flag, path in pairs if flag == "--embeddings"]
 
 
 def _cmd_train(args) -> int:
     hp, dims, vcfg, _ = _effective_config(args)
-    _check_outputs(args, ("checkpoint", "metrics"),
-                   ("train_corpus", "dev_corpus", "embeddings", "config"))
+    _check_outputs(_flags(args, "checkpoint", "metrics"),
+                   _flags(args, "train_corpus", "dev_corpus", "embeddings", "config"))
     examples = _load_examples(args.train_corpus)
     dev = _load_examples(args.dev_corpus) if args.dev_corpus else None
     table = _load_table(args.embeddings, dims.d, hp.seed)
@@ -312,18 +316,18 @@ def _cmd_viz(args) -> int:
     existing = next(p for p in (args.out_dir, *args.out_dir.absolute().parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"{args.out_dir}: {existing} is not a directory")
+    outputs = {idx: args.out_dir / f"attention_{idx}.{args.format}" for idx in indices}
+    if args.out_dir.is_dir():  # a directory viz has yet to make holds no input
+        _check_outputs([("--out-dir", out) for out in outputs.values()],
+                       _flags(args, "corpus", "checkpoint", "embeddings"))
     params, vcfg, hp = training.load_checkpoint(args.checkpoint)
     table = _load_table(args.embeddings, params.dims.d, hp.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    render = evalreport.export_json if args.format == "json" else evalreport.export_html
     for idx in indices:
         export = evalreport.attention_export(examples[idx], table, params, vcfg)
-        if args.format == "json":
-            out = args.out_dir / f"attention_{idx}.json"
-            out.write_text(evalreport.export_json(export), encoding="utf-8")
-        else:
-            out = args.out_dir / f"attention_{idx}.html"
-            out.write_text(evalreport.export_html(export), encoding="utf-8")
-        print(f"wrote {out}")
+        outputs[idx].write_text(render(export), encoding="utf-8")
+        print(f"wrote {outputs[idx]}")
     return 0
 
 

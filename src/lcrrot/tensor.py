@@ -6,7 +6,9 @@ the output gradient. ``Tensor.backward()`` topologically sorts the graph
 and runs the closures in reverse order. Gradients accumulate additively,
 so a leaf feeding several nodes (shared attention matrices, reused hidden
 states) is handled correctly; callers zero gradients between optimizer
-steps via ``zero_grad``.
+steps via ``zero_grad``. No two gradients share memory: ``_accumulate`` copies
+a first gradient (a view, ``add``'s shared ``g``) unless the closure built it for
+that tensor alone and passes ``fresh`` (``matmul``, ``sumsq``, the Bi-LSTM).
 
 Backward consumes the graph: once a node's closure has run, the node drops
 its closure and its inputs, so the arrays the forward pass kept for it are
@@ -72,9 +74,9 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -150,9 +152,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g = g.reshape(out.shape)
         if a.requires_grad:
-            a._accumulate(_reduce_to(g @ bm.swapaxes(-1, -2), am.shape).reshape(ad.shape))
+            a._accumulate(_reduce_to(g @ bm.swapaxes(-1, -2), am.shape).reshape(ad.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_reduce_to(am.swapaxes(-1, -2) @ g, bm.shape).reshape(bd.shape))
+            b._accumulate(_reduce_to(am.swapaxes(-1, -2) @ g, bm.shape).reshape(bd.shape), fresh=True)
 
     # the longer stack, then a's rows and b's columns, each unless promoted
     shape = max(ad.shape[:-2], bd.shape[:-2], key=len) + ad.shape[-2:-1] + bd.shape[1:][-1:]
@@ -252,16 +254,23 @@ def tmean(a) -> Tensor:
 
 def sumsq(*tensors) -> Tensor:
     """Sum of the squared entries of every operand, added operand by operand
-    in order: the L2 penalty as one node."""
-    tensors = [_as_tensor(t) for t in tensors]
-    total = sum((t.data * t.data).sum() for t in tensors)
+    in order: the L2 penalty as one node, its passes split by ``in_halves``."""
+    tensors, squares = [_as_tensor(t) for t in tensors], {}
+    in_halves(lambda half: squares.update({t: (t.data * t.data).sum() for t in half}),
+              {t: t.data.size for t in tensors})
 
-    def backward(g):
-        for t in tensors:
-            if t.requires_grad:
-                t._accumulate(2.0 * g * t.data)
+    def backward(g):  # the caller makes and frees both halves' buffers (see in_halves)
+        bufs = iter([np.empty(max(t.data.size for t in tensors)) for _ in range(2)])
+        def grads(half):  # 2g·θ, added through one buffer to a gradient already there
+            mine, buf = set(half), next(bufs)
+            for t in (t for t in tensors if t in mine):
+                if t.grad is None:
+                    t._accumulate(2.0 * g * t.data, fresh=True)
+                else:
+                    t.grad += np.multiply(2.0 * g, t.data, out=buf[:t.data.size].reshape(t.shape))
+        in_halves(grads, {t: t.data.size for t in tensors if t.requires_grad})
 
-    return _make(total, tensors, backward)
+    return _make(sum(squares[t] for t in tensors), tensors, backward)
 
 
 def index(a, key) -> Tensor:
@@ -336,23 +345,30 @@ def mean_rows(a, lengths) -> Tensor:
     return _make((a.data * keep).sum(axis=1, keepdims=True) / n, (a,), backward)
 
 
-SPLIT_D_H = 160  # from this hidden size up, on two or more cores, the directions split
+SPLIT_D_H = 160  # from this hidden size up, on two or more cores, work splits in two
 _worker = ThreadPoolExecutor(max_workers=1)  # its thread starts on first use
 if hasattr(os, "register_at_fork"):  # a forked child has no thread behind the pool
     os.register_at_fork(after_in_child=lambda: globals().update(_worker=ThreadPoolExecutor(1)))
 
 
-def _by_direction(run, d_h: int, rows: int) -> None:
-    """``run(s)`` over both directions (s = 0:2), or 1:2 on the worker and 0:1 here
-    at once, each writing only its slices: numpy releases the GIL in BLAS calls."""
-    if d_h < SPLIT_D_H or not rows \
+def in_halves(run, sizes: dict, split=None) -> None:
+    """``run(parts)`` over the keys of ``sizes`` (entry counts), or, if ``split`` (by
+    default: 8·SPLIT_D_H² entries or more) and on two or more cores, over two halves
+    of about equal entries at once, one on the worker thread. Each half writes only
+    its parts' arrays (numpy releases the GIL in its loops and BLAS calls). Free
+    large arrays here: freed on the worker, they made a later save twice as slow."""
+    split = sum(sizes.values()) >= 8 * SPLIT_D_H ** 2 if split is None else split
+    if not split or len(sizes) < 2 \
             or len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)) < 2:
-        return run(slice(0, 2))
-    half = _worker.submit(run, slice(1, 2))
+        return run(list(sizes))
+    halves = ([], [])
+    for part in sorted(sizes, key=sizes.get, reverse=True):  # largest first, to the lighter half
+        min(halves, key=lambda half: sum(map(sizes.get, half))).append(part)
+    job = _worker.submit(run, halves[1])
     try:
-        run(slice(0, 1))
+        run(halves[0])
     finally:
-        half.result()
+        job.result()
 
 
 @functools.lru_cache(maxsize=128)
@@ -393,7 +409,7 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     directions. So a step is one stacked product [2, k_t, d_h]·[2, d_h, 4d_h],
     the input projection and each weight gradient are one stacked product
     over every real row, and padding is never computed or stored. From
-    SPLIT_D_H up the directions run on two threads (``_by_direction``).
+    SPLIT_D_H up the directions run on two threads (``in_halves``).
     """
     x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
     lengths = _batch_lengths(x, lengths, "bilstm_sequence")
@@ -403,6 +419,7 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
         raise ShapeError(f"bilstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
     starts, seq, pos, rank = _packing(lengths.tobytes())
     batch, side = x.data.shape[:2], np.arange(2)[:, None]  # side: each packed row's direction
+    directions, split = {0: len(seq), 1: len(seq)}, d_h >= SPLIT_D_H and len(seq) > 0
 
     def pack(a, s):  # [B, n, 2d_h] -> [2, rows, d_h] at the directions s, in packed order
         return a.reshape(*batch, 2, d_h)[seq, pos[s], side[s]]
@@ -413,7 +430,8 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
     gates = np.empty((2, len(seq), 4 * d_h))
     cells, hs = np.empty((2, len(seq), d_h)), np.empty((2, len(seq), d_h))
 
-    def steps(s):
+    def steps(k):
+        s = slice(k[0], k[-1] + 1)  # the directions k, keeping the axis
         np.add(x.data[seq, pos[s]] @ w.data[s].swapaxes(1, 2), b.data[s, None], out=gates[s])
         u_t, prev = u.data[s].swapaxes(1, 2), None
         for lo, hi in zip(starts[:-1], starts[1:]):
@@ -432,7 +450,7 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
                 c += f * cells[s, prev:prev + hi - lo]
             np.multiply(o, np.tanh(c), out=hs[s, lo:hi])
             prev = lo
-    _by_direction(steps, d_h, len(seq))
+    in_halves(steps, directions, split)
     out = np.zeros((*batch, 2 * d_h))
     out.reshape(*batch, 2, d_h)[seq, pos, side] = hs
     del hs  # backward packs it again from out: less to keep until then
@@ -444,7 +462,8 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
         first = starts[1] if len(starts) > 1 else 0
         prev = np.asarray(starts)[pos[0, first:] - 1] + rank[first:]
 
-        def bptt(s):
+        def bptt(k):
+            s = slice(k[0], k[-1] + 1)
             dh_out, tanh_c, gs, ds = pack(grad, s), np.tanh(cells[s]), gates[s], dz[s]
             np.multiply(1.0 - gs, gs, out=ds)  # the gates' derivatives; row by row, they become dz
             ds[..., 3 * d_h:] = 1.0 - gs[..., 3 * d_h:] ** 2
@@ -468,10 +487,10 @@ def bilstm_sequence(x, w, u, b, lengths) -> Tensor:
                 np.matmul(ds.swapaxes(1, 2), x.data[seq, pos[s]], out=dw[s])
             if u.requires_grad:
                 np.matmul(ds[:, first:].swapaxes(1, 2), pack(out, s)[:, prev], out=du[s])
-        _by_direction(bptt, d_h, len(seq))
+        in_halves(bptt, directions, split)
         for t, g in ((w, dw), (u, du), (b, dz.sum(axis=1))):
             if t.requires_grad:
-                t._accumulate(g)
+                t._accumulate(g, fresh=True)
         if x.requires_grad:
             dx = np.zeros(x.data.shape)
             np.add.at(dx, (seq, pos), dz @ w.data)  # the directions read each row once each

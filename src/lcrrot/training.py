@@ -99,16 +99,24 @@ def batch_loss(probs: Tensor, label_indices, params: ModelParams, lam: float) ->
 def sgd_momentum_step(params: ModelParams, velocity: dict[str, np.ndarray],
                       lr: float, momentum: float):
     """vel <- mu*vel - lr*grad; theta <- theta + vel, in place, with ``velocity``
-    holding each parameter's vel by name. Missing grads count as zero."""
-    for name, t in params.named():
-        grad = t.grad if t.grad is not None else np.zeros(t.data.shape)
-        if grad.shape != t.data.shape:
-            raise ShapeError(
-                f"{name}: gradient shape {grad.shape} != parameter shape {t.data.shape}")
-        vel = velocity[name]
-        vel *= momentum
-        vel -= lr * grad
-        t.data += vel
+    holding each parameter's vel by name. Missing grads count as zero. Consumes the
+    gradients: scales each by lr in place (``T.in_halves``), then sets it None."""
+    named = dict(params.named())
+
+    def step(names):
+        for name in names:
+            t, vel = named[name], velocity[name]
+            grad = t.grad if t.grad is not None else np.zeros(t.data.shape)
+            if grad.shape != t.data.shape:
+                raise ShapeError(
+                    f"{name}: gradient shape {grad.shape} != parameter shape {t.data.shape}")
+            vel *= momentum
+            grad *= lr
+            vel -= grad
+            t.data += vel
+    T.in_halves(step, {name: t.data.size for name, t in named.items()})
+    for t in named.values():  # here, not on the worker (see T.in_halves)
+        t.grad = None
 
 
 @dataclass
@@ -165,7 +173,6 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
             bl = batch_loss(res.probs, [ex.label_index for ex in batch], params, hp.l2_weight)
             bl.backward()
             sgd_momentum_step(params, velocity, hp.learning_rate, hp.momentum)
-            params.zero_grad()  # free the gradients before the next batch allocates its own
             total_ce += float(bl.data) * len(batch)
 
         # accuracy measured at epoch end in eval mode, so `eval` on the same

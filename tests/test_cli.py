@@ -129,6 +129,37 @@ def test_viz_checks_every_index_before_writing(corpus_file, tmp_path, capsys):
     assert not list(tmp_path.glob("viz/attention_*"))
 
 
+@pytest.mark.parametrize("clash", ["corpus", "checkpoint", "embeddings", "copy"])
+def test_viz_refuses_to_overwrite_an_input(corpus_file, tmp_path, capsys, monkeypatch, clash):
+    """Every file viz would write is checked against its inputs, the vector
+    file's binary copy among them, and a clash exits 2 before any is written:
+    ``--corpus attention_0.json --out-dir . --indices 0,1`` once replaced the corpus."""
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("the " + " ".join(["0.5"] * 6) + "\n", encoding="utf-8")
+    assert run(base_train_args(corpus_file, tmp_path, ["--embeddings", str(vectors)])) == 0
+    assert (copy := tmp_path / f"vectors.txt{COPY_SUFFIX}").exists()
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    inputs = {"corpus": corpus_file, "checkpoint": tmp_path / "model.ckpt",
+              "embeddings": vectors}
+    taken = out / ("attention_0.json" if clash == "corpus" else "attention_1.json")
+    if clash == "copy":
+        taken.symlink_to(copy)  # writing the export would go through to the copy
+    else:
+        os.replace(inputs[clash], taken)
+        inputs[clash] = taken.name
+    before = {path: path.read_bytes() for path in (taken, copy)}
+    capsys.readouterr()
+    assert run(["viz", "--corpus", str(inputs["corpus"]), "--checkpoint",
+                str(inputs["checkpoint"]), "--embeddings", str(inputs["embeddings"]),
+                "--out-dir", ".", "--indices", "0,1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "names the same file as" in err[0]
+    assert {path: path.read_bytes() for path in before} == before
+    assert [p.name for p in out.iterdir()] == [taken.name]
+
+
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "below_a_file"])
 def test_viz_out_dir_that_is_a_file_fails_before_loading(corpus_file, tmp_path, capsys,
                                                         monkeypatch, nested):

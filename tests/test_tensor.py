@@ -332,6 +332,52 @@ class TestBackward:
         assert float(x.grad) == first
 
 
+def graph_tensors(root):
+    """Every tensor ``root`` depends on, itself included: read it before backward
+    consumes the graph."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._prev)
+    return list(seen.values())
+
+
+def assert_owned(tensors):
+    """No two of these tensors' gradients share memory."""
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientOwnership:
+    """A gradient that ``backward`` leaves belongs to one tensor, so the
+    optimizer step may scale it in place."""
+
+    def test_leaf_as_both_operands_of_add(self):
+        x = Tensor(rng(3).uniform(-1, 1, (2, 3)), requires_grad=True)
+        y = T.add(x, x)
+        T.sumsq(y).backward()
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+        assert_owned([x, y])
+
+    def test_leaf_through_transpose_and_directly(self):
+        x = Tensor(rng(4).uniform(-1, 1, (3, 3)), requires_grad=True)
+        xt = T.transpose(x)
+        T.add(T.sumsq(xt), T.sumsq(x)).backward()  # x's first gradient comes through xt
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data + 2.0 * x.data)
+        assert_owned([x, xt])
+
+    def test_matmul_products_and_concat_slices(self):
+        a = Tensor(rng(5).uniform(-1, 1, (2, 3)), requires_grad=True)
+        b = Tensor(rng(6).uniform(-1, 1, (3, 4)), requires_grad=True)
+        ab, parts = T.matmul(a, b), T.concat([a, b.data.T[:2].copy()])
+        T.add(T.tmean(T.mul(parts, parts)), T.tmean(T.mul(ab, ab))).backward()  # concat first
+        assert_owned([a, b, ab, parts])
+
+
 def _fd_check(build, tensors, step=1e-6, tol=1e-4):
     """Central finite differences against analytic gradients."""
     out = build()
@@ -624,13 +670,13 @@ class TestTwoThreadDirections:
         stacked = run_bilstm(*case)
         monkeypatch.setattr(T, "SPLIT_D_H", 1)
         assert run_bilstm(*case) == stacked  # x's gradient through np.add.at too
-        assert worker_halves == [slice(1, 2)] * 2
+        assert worker_halves == [[1]] * 2
 
     def test_no_rows_run_inline(self, monkeypatch, worker_halves):
         monkeypatch.setattr(T, "SPLIT_D_H", 1)
         (x, *weights), _, _ = ragged_bilstm_case()
         T.sumsq(T.bilstm_sequence(Tensor(x.data[:2, :0]), *weights, [0, 0]), weights[0]).backward()
-        assert not worker_halves
+        assert [1] not in worker_halves  # only the L2 node's halves went to the worker
 
     @pytest.mark.parametrize("in_backward", [False, True])
     def test_worker_exception_reaches_caller(self, in_backward, monkeypatch, worker_halves):

@@ -10,13 +10,14 @@ from lcrrot import evalreport, training
 from lcrrot import tensor as T
 from lcrrot.corpus import Example
 from lcrrot.embeddings import EmbeddingTable
-from lcrrot.errors import CheckpointError, ConfigError, DomainError
-from lcrrot.model import (Dimensions, Variant, VariantConfig, dropout, forward,
-                          init_params)
+from lcrrot.errors import CheckpointError, ConfigError, DomainError, ShapeError
+from lcrrot.model import (ALL_VARIANTS, Dimensions, Variant, VariantConfig, dropout,
+                          forward, init_params)
 from lcrrot.tensor import Tensor
 from lcrrot.training import (Hyperparams, loss, load_checkpoint, save_checkpoint,
                              sgd_momentum_step, train)
 from lstm_oracle import stack
+from test_tensor import assert_owned, graph_tensors
 
 
 def rng(seed=0):
@@ -166,6 +167,97 @@ class TestSgdMomentum:
         x.grad = np.array(float(x.data))
         sgd_momentum_step(params, velocity, lr, mu)
         assert float(x.data) == pytest.approx(x2, abs=1e-15)
+
+
+def ragged_batches(n_batches=3, size=5, seed=21):
+    """Batches of random-length contexts (0-4 tokens, many empty) over a small vocabulary."""
+    g = rng(seed)
+    words = lambda n: tuple(f"w{g.integers(12)}" for _ in range(n))
+    return [[Example(left=words(g.integers(0, 5) * g.integers(0, 2)), target=words(g.integers(1, 3)),
+                     right=words(g.integers(0, 5) * g.integers(0, 2)),
+                     label=("negative", "neutral", "positive")[g.integers(3)])
+             for _ in range(size)] for _ in range(n_batches)]
+
+
+def training_steps(variant, batches, check=None):
+    """Dropout-0.5 momentum steps of ``variant`` over ``batches`` (d = 6, d_h = 3):
+    every batch loss, parameter and velocity as bytes. ``check(params, graph)``
+    runs after each backward, before the step, with every tensor of the graph."""
+    cfg, g = VariantConfig(variant=variant), rng(17)
+    params = init_params(Dimensions(d=6, d_h=3), cfg, g)
+    velocity, table, losses = zero_velocity(params), EmbeddingTable(dim=6, seed=2), []
+    for batch in batches:
+        res = forward(batch, table, params, cfg, mode="train", rng=g, dropout_rate=0.5)
+        bl = training.batch_loss(res.probs, [ex.label_index for ex in batch], params, 1e-3)
+        graph = graph_tensors(bl)
+        bl.backward()
+        if check is not None:
+            check(params, graph)
+        sgd_momentum_step(params, velocity, 0.1, 0.9)
+        losses.append(bl.data.tobytes())
+    return losses + [(name, t.data.tobytes(), velocity[name].tobytes())
+                     for name, t in params.named()]
+
+
+class TestParameterPassesInHalves:
+    """The L2 node's passes and the optimizer step in two halves at once (the
+    cut lowered so that tiny dims split) against one core, byte for byte."""
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_steps_match_one_core_bytes(self, variant, monkeypatch, worker_halves):
+        batches = ragged_batches()
+        assert any(not ex.left for b in batches for ex in b)
+        assert any(not ex.right for b in batches for ex in b)
+        monkeypatch.setattr(T, "SPLIT_D_H", 10 ** 9)
+        one_core = training_steps(variant, batches)
+        assert not worker_halves
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        assert training_steps(variant, batches) == one_core
+        # each step sends the L2 node's two passes and the optimizer's names
+        names = {name for name, _ in init_params(DIMS, VariantConfig(variant=variant),
+                                                 rng()).named()}
+        steps = [h for h in worker_halves if h and all(isinstance(n, str) for n in h)]
+        assert len(steps) == len(batches) and set(steps[0]) < names
+
+    def test_operand_listed_twice_stays_in_one_half(self, monkeypatch, worker_halves):
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        x, y = (Tensor(rng(seed).uniform(-1, 1, (3, 4)), requires_grad=True) for seed in (1, 2))
+        out = T.sumsq(x, y, x)
+        assert float(out.data) == (x.data * x.data).sum() + (y.data * y.data).sum() \
+            + (x.data * x.data).sum()
+        out.backward()
+        np.testing.assert_array_equal(x.grad, 4.0 * x.data)  # 2x + 2x, one half's work
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        assert worker_halves == [[y], [y]]  # the smaller part, forward and backward
+
+    def test_worker_half_shape_error_reaches_caller(self, monkeypatch, worker_halves):
+        monkeypatch.setattr(T, "SPLIT_D_H", 1)
+        params, _ = tiny_params(seed=3)
+        velocity = zero_velocity(params)
+        sgd_momentum_step(params, velocity, 0.1, 0.9)  # no gradients: they count as zero
+        name = worker_halves[-1][0]
+        t = dict(params.named())[name]
+        t.grad = np.ones(t.data.shape + (1,))
+        with pytest.raises(ShapeError, match=f"^{name}: gradient shape"):
+            sgd_momentum_step(params, velocity, 0.1, 0.9)
+        assert name in worker_halves[-1]
+
+    @pytest.mark.parametrize("cut", [10 ** 9, 1])
+    def test_step_consumes_every_gradient(self, cut, monkeypatch, worker_halves):
+        monkeypatch.setattr(T, "SPLIT_D_H", cut)
+        params, _ = tiny_params(seed=4)
+        for _, t in params.named():
+            t.grad = np.ones(t.data.shape)
+        sgd_momentum_step(params, zero_velocity(params), 0.1, 0.9)
+        assert all(t.grad is None for _, t in params.named())
+        assert bool(worker_halves) == (cut == 1)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_gradients_are_owned(variant):
+    """After each backward of a training step, no two gradients share memory:
+    every parameter's and every graph node's, for every variant."""
+    training_steps(variant, ragged_batches(), check=lambda params, graph: assert_owned(graph))
 
 
 class TestDropout:
