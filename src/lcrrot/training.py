@@ -155,8 +155,9 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
     if dev_examples is not None and not dev_examples:
         raise DomainError("the dev corpus is empty")
     rng = np.random.Generator(np.random.PCG64(hp.seed))
+    # before the parameters: freed on return, it leaves a reusable hole below the arrays returned
+    velocity = {name: np.zeros(shape) for name, shape in param_shapes(cfg.variant, dims).items()}
     params = init_params(dims, cfg, rng)
-    velocity = {name: np.zeros(t.data.shape) for name, t in params.named()}
 
     metrics: list[EpochMetrics] = []
     best_dev = -1.0
@@ -164,6 +165,8 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
     order = np.arange(len(examples))
 
     for epoch in range(hp.max_epochs):
+        if best_params is params:  # copied only when an epoch is about to change them
+            best_params = copy_params(params)
         rng.shuffle(order)
         total_ce = 0.0
         for start in range(0, len(order), hp.batch_size):
@@ -183,15 +186,12 @@ def train(examples: list[Example], table: EmbeddingTable, cfg: VariantConfig,
         if dev_examples:
             m.dev_acc = evaluate_accuracy(dev_examples, table, params, cfg)
             if m.dev_acc > best_dev:
-                best_dev = m.dev_acc
-                best_params = copy_params(params)
+                best_dev, best_params = m.dev_acc, params
         metrics.append(m)
         if log is not None:
             log(m.as_line())
 
-    if best_params is not None:
-        params = best_params
-    return params, metrics
+    return (best_params or params), metrics
 
 
 def copy_params(params: ModelParams) -> ModelParams:

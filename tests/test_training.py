@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -374,6 +374,21 @@ class TestTrain:
         params, metrics = train(corpus, table, CFG, HP, DIMS,
                                 dev_examples=corpus[:3])
         assert all(m.dev_acc is not None for m in metrics)
+
+    @pytest.mark.parametrize("dev, lr, best", [
+        (slice(3, 8), 0.5, 0), (slice(5, None), 0.5, 2), (slice(5, None), 0.05, 4)])
+    def test_returns_the_best_epochs_parameters(self, dev, lr, best):
+        # the best epoch first, in the middle and last: the first two return a
+        # copy, the last the trained tensors themselves
+        table, corpus = EmbeddingTable(dim=6, seed=1), make_corpus()
+        hp = replace(HP, max_epochs=5, learning_rate=lr)
+        params, metrics = train(corpus, table, CFG, hp, DIMS, dev_examples=corpus[dev])
+        accs = [m.dev_acc for m in metrics]
+        assert accs.index(max(accs)) == best
+        expected, _ = train(corpus, table, CFG, replace(hp, max_epochs=best + 1), DIMS)
+        for (name, t), (_, e) in zip(params.named(), expected.named(), strict=True):
+            assert t.data.tobytes() == e.data.tobytes(), name
+            assert t.grad is None
 
     def test_copy_params_is_independent(self):
         params, _ = tiny_params(seed=5, variant=Variant.ATTENTION_REVERSE)
